@@ -1,5 +1,7 @@
 //! Thread fan-out policy for the parallel kernels.
 
+use serde::{Deserialize, Serialize};
+
 /// How many worker threads a parallel kernel may fan out over.
 ///
 /// Every kernel that accepts a `Parallelism` guarantees **bit-identical**
@@ -7,7 +9,7 @@
 /// index chunks, each unit of work is independent, and any cross-unit
 /// reduction is performed sequentially in index order after the workers
 /// join. The setting therefore only trades wall-clock for cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Parallelism {
     /// Run inline on the calling thread (no spawns at all).

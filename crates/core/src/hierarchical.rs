@@ -5,10 +5,10 @@
 //! At `N = 10⁵` the cost matrix alone is a dead end, so this module solves
 //! the problem in three stages on top of a [`LandmarkOracle`]:
 //!
-//! 1. **Aggregate** — collapse the network to its `K` landmark clusters:
-//!    pooled service capacity `μ_a = Σ_{i∈a} μ_i`, hub-estimated access
-//!    cost of each cluster's landmark, and solve the `K`-dimensional FAP
-//!    for cluster shares `y_a` (`Σ_a y_a = 1`).
+//! 1. **Aggregate** — collapse the network to `K` landmark clusters
+//!    ([`capped_clusters`]): pooled service capacity `μ_a = Σ_{i∈a} μ_i`,
+//!    hub-estimated access cost of each cluster's landmark, and solve the
+//!    `K`-dimensional FAP for cluster shares `y_a` (`Σ_a y_a = 1`).
 //! 2. **Per-cluster** — split each share among its members. Substituting
 //!    `x_i = y_a·z_i` turns the restriction of equation 1 to cluster `a`
 //!    into another [`SingleFileProblem`] with total rate `λ·y_a`, so the
@@ -23,9 +23,24 @@
 //!    falls below ε; each round increments the `hier.refine_rounds`
 //!    counter.
 //!
-//! Everything is sequential and deterministic: the same oracle, workload
-//! and config produce a bit-identical allocation, which is what lets the
-//! scale bench pin checksums on the hierarchical path.
+//! # Clusters and fan-out
+//!
+//! The cost of an inner solve grows faster than its size, so the largest
+//! cluster sets the solve's wall clock. Nearest-landmark clusters are
+//! badly skewed (965 members against `N/K = 128` on the 128×128 bench
+//! torus), so the solve partitions under a member ceiling of
+//! `⌈1.1·N/K⌉` instead: nodes taken in `(home distance, index)` order
+//! join their nearest landmark that still has room. The oracle's homes
+//! and access-cost estimates are untouched — only the decomposition of
+//! the same estimated problem changes.
+//!
+//! The per-cluster solves of a stage are independent, so they fan out
+//! over scoped threads ([`HierarchicalConfig::parallelism`]), each worker
+//! with its own [`OptimizerScratch`]. Splits, iteration counts and
+//! `hier.cluster_solve` spans are merged in cluster order after the join:
+//! the same oracle, workload and config produce a bit-identical
+//! allocation and span stream at every thread count, which is what lets
+//! the scale bench pin checksums on the hierarchical path.
 //!
 //! # Multi-level trees
 //!
@@ -33,16 +48,20 @@
 //! ~10² and a "cluster" grows to ~10⁴ members — too large for one flat
 //! inner solve. [`solve_hierarchical_multilevel`] therefore splits any
 //! oversized cluster into a deterministic **cluster-of-clusters tree**:
-//! members sort by `(home distance, index)`, split into near-even
-//! contiguous chunks with the branching factor chosen so leaves stay
-//! around 128–256 nodes, and each internal node repeats the
+//! members sort by `(distance to the cluster's landmark, index)`, split
+//! into near-even contiguous chunks with the branching factor chosen so
+//! leaves stay around 128–256 nodes, and each internal node repeats the
 //! aggregate-solve / per-chunk-solve / share-refine pass of the flat
 //! pipeline on its own members — warm-started from the shares and splits
-//! of the previous visit. Depth 1 *is* the flat pipeline (delegated
-//! verbatim, bit for bit — pinned by `tests/hier_multilevel.rs`).
+//! of the previous visit, its chunk solves fanned out like the clusters'.
+//! Depth 1 *is* the flat pipeline (delegated verbatim, bit for bit —
+//! pinned by `tests/hier_multilevel.rs`).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use fap_batch::Parallelism;
 use fap_econ::{
     project_onto_simplex, AllocationProblem, OptimizerScratch, ResourceDirectedOptimizer,
     StepSize,
@@ -77,6 +96,11 @@ pub struct HierarchicalConfig {
     pub max_refine_rounds: usize,
     /// Step size of the refinement updates on the cluster shares.
     pub refine_step: f64,
+    /// Worker threads the independent cluster (and member-tree chunk)
+    /// solves fan out over. Solutions and span streams are bit-identical
+    /// at every setting; only the wall clock changes.
+    #[serde(default)]
+    pub parallelism: Parallelism,
 }
 
 impl Default for HierarchicalConfig {
@@ -87,6 +111,7 @@ impl Default for HierarchicalConfig {
             max_inner_iterations: 200_000,
             max_refine_rounds: 8,
             refine_step: 0.05,
+            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -119,6 +144,53 @@ pub struct HierarchicalSolution {
 
 fn default_levels() -> usize {
     1
+}
+
+/// The cluster partition the hierarchical solve runs on: one cluster per
+/// landmark, in landmark order, members ascending, no cluster larger than
+/// `⌈1.1·N/K⌉`.
+///
+/// Nodes are placed in `(home distance, node index)` order, each into its
+/// nearest landmark (by [`LandmarkOracle::landmark_distance`], ties to the
+/// lower landmark index) that still has room. Every landmark is at
+/// distance zero from itself, so it lands first in its own cluster and
+/// no cluster is empty; where no home cluster overflows the result is
+/// exactly [`LandmarkOracle::cluster_members`]. Deterministic: the order
+/// uses [`f64::total_cmp`] and indices only.
+pub fn capped_clusters(oracle: &LandmarkOracle) -> Vec<Vec<NodeId>> {
+    let n = oracle.node_count();
+    let k = oracle.landmark_count();
+    // 10% headroom over the even split; K·cap ≥ 1.1·N > N, so every node
+    // finds room.
+    let cap = (11 * n).div_ceil(10 * k);
+    let mut order: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    order.sort_by(|&p, &q| {
+        oracle.home_distance(p).total_cmp(&oracle.home_distance(q)).then(p.cmp(&q))
+    });
+    let mut clusters: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+    for v in order {
+        // The home is the nearest landmark (lowest index on ties), so it
+        // is the answer whenever it has room; only overflow scans.
+        let home = oracle.home(v);
+        let a = if clusters[home].len() < cap {
+            home
+        } else {
+            (0..k)
+                .filter(|&b| clusters[b].len() < cap)
+                .min_by(|&b, &c| {
+                    oracle
+                        .landmark_distance(b, v)
+                        .total_cmp(&oracle.landmark_distance(c, v))
+                        .then(b.cmp(&c))
+                })
+                .expect("K clusters of ⌈1.1·N/K⌉ hold all N nodes")
+        };
+        clusters[a].push(v);
+    }
+    for members in &mut clusters {
+        members.sort_unstable();
+    }
+    clusters
 }
 
 /// Solves the single-file problem hierarchically on `oracle`.
@@ -164,11 +236,11 @@ pub fn solve_hierarchical_observed(
 /// `levels` bounds the depth of the tree: `1` is exactly the flat
 /// [`solve_hierarchical`] pipeline (bit-identical output), while deeper
 /// settings let any cluster larger than ~256 members split recursively
-/// into near-even chunks of its `(home distance, index)`-sorted members,
-/// each chunk solved through the same aggregate/inner/refine pass. Use
-/// more levels when the substrate byte ceiling forces `K` far below
-/// `N / 256` — at `N = 10⁶` with `K ≈ 10²`, `levels = 3` keeps every
-/// inner solve a few hundred variables wide.
+/// into near-even chunks of its members sorted by distance to the
+/// cluster's landmark, each chunk solved through the same
+/// aggregate/inner/refine pass. Use more levels when the substrate byte
+/// ceiling forces `K` far below `N / 256` — at `N = 10⁶` with `K ≈ 10²`,
+/// `levels = 3` keeps every inner solve a few hundred variables wide.
 ///
 /// Equivalent to [`solve_hierarchical_multilevel_observed`] with a
 /// [`NoopRecorder`].
@@ -208,6 +280,33 @@ pub fn solve_hierarchical_multilevel_observed(
         ));
     }
     solve_hierarchical_impl(oracle, pattern, mus, k, config, levels, recorder)
+}
+
+/// What every inner solve of one hierarchical solve reads: shared, never
+/// written, across the fan-out's workers.
+struct Inner<'a> {
+    oracle: &'a LandmarkOracle,
+    config: &'a HierarchicalConfig,
+    solver: &'a ResourceDirectedOptimizer,
+    est_costs: &'a [f64],
+    mus: &'a [f64],
+    k: f64,
+}
+
+impl Inner<'_> {
+    /// Equation 1 restricted to `members`, carrying `rate` units of
+    /// traffic.
+    fn problem(&self, members: &[NodeId], rate: f64) -> Result<SingleFileProblem, CoreError> {
+        SingleFileProblem::from_parts(
+            members.iter().map(|&i| self.est_costs[i.index()]).collect(),
+            rate,
+            members
+                .iter()
+                .map(|&i| Mm1Delay::new(self.mus[i.index()]))
+                .collect::<Result<Vec<_>, _>>()?,
+            self.k,
+        )
+    }
 }
 
 fn solve_hierarchical_impl(
@@ -281,7 +380,7 @@ fn solve_hierarchical_impl(
         k,
     )?;
 
-    let clusters = oracle.cluster_members();
+    let clusters = capped_clusters(oracle);
     let kk = clusters.len();
     let pooled_mu: Vec<f64> = clusters
         .iter()
@@ -300,6 +399,8 @@ fn solve_hierarchical_impl(
         .with_epsilon(config.epsilon)
         .with_max_iterations(config.max_inner_iterations);
     let mut scratch = OptimizerScratch::new();
+    let threads = config.parallelism.thread_count();
+    let inner = Inner { oracle, config, solver: &solver, est_costs: &est_costs, mus, k };
 
     // Stage 1: aggregate K-cluster solve from a capacity-proportional
     // (hence feasible) start.
@@ -331,11 +432,12 @@ fn solve_hierarchical_impl(
         })
         .collect();
     let mut inner_iterations = 0usize;
+    let mut runs = Vec::new();
     solve_clusters(
-        oracle, config, levels, &clusters, &shares, &est_costs, mus, lambda, k, margin,
-        &solver, &mut scratch, &mut splits, &mut inner_iterations, false, recorder,
-        &mut tick, root_ctx,
+        &inner, levels, &clusters, &shares, lambda, margin, threads, &mut splits, false,
+        &mut runs,
     )?;
+    record_runs(&runs, &mut inner_iterations, recorder, &mut tick, root_ctx);
 
     let mut x = compose(n, &clusters, &shares, &splits);
     let mut best_x = x.clone();
@@ -393,11 +495,12 @@ fn solve_hierarchical_impl(
         project_onto_simplex(&mut shares, 1.0);
         clamp_to_caps(&mut shares, &caps);
 
+        runs.clear();
         solve_clusters(
-            oracle, config, levels, &clusters, &shares, &est_costs, mus, lambda, k, margin,
-            &solver, &mut scratch, &mut splits, &mut inner_iterations, true, recorder,
-            &mut tick, round_ctx,
+            &inner, levels, &clusters, &shares, lambda, margin, threads, &mut splits, true,
+            &mut runs,
         )?;
+        record_runs(&runs, &mut inner_iterations, recorder, &mut tick, round_ctx);
         if let Some(ctx) = round_ctx {
             emit_span_end(recorder, "hier.refine", ctx, tick, tick - round_start);
         }
@@ -428,115 +531,200 @@ fn solve_hierarchical_impl(
     })
 }
 
-/// Solves every active cluster's inner problem, updating `splits` in place
-/// and adding iteration counts to `inner_iterations`. With `warm` set, each
-/// solve is seeded from the cluster's previous split. When `parent` is set
-/// (tracing), each inner solve emits a `hier.cluster_solve` child span of
-/// its iteration width, advancing `tick` so the pass tiles the timeline.
-#[allow(clippy::too_many_arguments)]
-fn solve_clusters(
-    oracle: &LandmarkOracle,
-    config: &HierarchicalConfig,
-    levels: usize,
-    clusters: &[Vec<NodeId>],
-    shares: &[f64],
-    est_costs: &[f64],
-    mus: &[f64],
-    lambda: f64,
-    k: f64,
-    margin: f64,
-    solver: &ResourceDirectedOptimizer,
-    scratch: &mut OptimizerScratch,
-    splits: &mut [Vec<f64>],
+/// Adds solver runs (iteration counts, in run order) to
+/// `inner_iterations`. When `parent` is set (tracing), each run lands a
+/// `hier.cluster_solve` child span of its iteration width, advancing
+/// `tick` so the runs tile the timeline.
+fn record_runs(
+    runs: &[usize],
     inner_iterations: &mut usize,
-    warm: bool,
     recorder: &mut dyn Recorder,
     tick: &mut u64,
     parent: Option<TraceContext>,
-) -> Result<(), CoreError> {
-    for (a, members) in clusters.iter().enumerate() {
-        if shares[a] <= 0.0 || members.len() < 2 {
-            // A zero-share or singleton cluster needs no inner solve; its
-            // split stays at the previous (or capacity-proportional) value.
-            continue;
-        }
-        if levels > 1 && members.len() > LEAF_MAX {
-            // Oversized cluster with levels to spend: recurse into the
-            // member tree instead of one huge flat inner solve.
-            let mut z = std::mem::take(&mut splits[a]);
-            solve_member_tree(
-                oracle, members, est_costs, mus, lambda * shares[a], k, config, solver,
-                scratch, levels - 1, &mut z, warm, inner_iterations, recorder, tick, parent,
-            )?;
-            splits[a] = z;
-            continue;
-        }
-        let inner_rate = lambda * shares[a];
-        let inner = SingleFileProblem::from_parts(
-            members.iter().map(|&i| est_costs[i.index()]).collect(),
-            inner_rate,
-            members
-                .iter()
-                .map(|&i| Mm1Delay::new(mus[i.index()]))
-                .collect::<Result<Vec<_>, _>>()?,
-            k,
-        )?;
-        // A seed carried over from a smaller share can overload a member
-        // once the share grows; clamp it back inside the member capacities
-        // (the half-margin leaves the caps summing above one, so the clamp
-        // always lands feasible).
-        let member_caps: Vec<f64> = members
-            .iter()
-            .map(|&i| mus[i.index()] * (1.0 - 0.5 * margin) / inner_rate)
-            .collect();
-        clamp_to_caps(&mut splits[a], &member_caps);
-        if warm {
-            scratch.start_from(&splits[a]);
-        }
-        let solution = solver.run_with_scratch(&inner, &splits[a].clone(), scratch)?;
-        *inner_iterations += solution.iterations;
+) {
+    for &iterations in runs {
+        *inner_iterations += iterations;
         if let Some(ctx) = parent {
             let id = recorder.reserve_span_ids(1);
-            let end = *tick + solution.iterations as u64;
+            let end = *tick + iterations as u64;
             emit_span(recorder, "hier.cluster_solve", ctx.child(id), *tick, end);
         }
-        *tick += solution.iterations as u64;
-        splits[a] = solution.allocation;
+        *tick += iterations as u64;
+    }
+}
+
+/// Solves every active cluster's inner problem over `threads` workers,
+/// updating `splits` in place and appending every solver run to `runs` in
+/// cluster order. With `warm` set, each solve is seeded from the
+/// cluster's previous split.
+#[allow(clippy::too_many_arguments)]
+fn solve_clusters(
+    inner: &Inner<'_>,
+    levels: usize,
+    clusters: &[Vec<NodeId>],
+    shares: &[f64],
+    lambda: f64,
+    margin: f64,
+    threads: usize,
+    splits: &mut [Vec<f64>],
+    warm: bool,
+    runs: &mut Vec<usize>,
+) -> Result<(), CoreError> {
+    solve_groups(clusters, shares, threads, splits, runs, |a, nested, z, scratch, runs| {
+        let rate = lambda * shares[a];
+        if levels > 1 && clusters[a].len() > LEAF_MAX {
+            // Oversized cluster with levels to spend: recurse into the
+            // member tree instead of one huge flat inner solve.
+            solve_member_tree(
+                inner, a, &clusters[a], rate, levels - 1, nested, z, warm, scratch, runs,
+            )
+        } else {
+            solve_leaf(inner, &clusters[a], rate, margin, z, warm, scratch, runs)
+        }
+    })
+}
+
+/// Runs `solve(g, nested_threads, split, scratch, runs)` for every group
+/// with a positive share and at least two members, fanned out over up to
+/// `threads` scoped workers (each with its own [`OptimizerScratch`]; a
+/// worker's leftover budget `nested_threads` goes to the group's own
+/// fan-out). A zero-share or singleton group needs no solve: its split
+/// stays at the previous (or capacity-proportional) value.
+///
+/// Each group's solve reads only its own split and shared inputs, so its
+/// result does not depend on which worker ran it. The new splits and the
+/// groups' solver runs are written back in group order after the join,
+/// and the first error in group order is returned — bit-identical to the
+/// sequential loop at every thread count.
+fn solve_groups<F>(
+    groups: &[Vec<NodeId>],
+    shares: &[f64],
+    threads: usize,
+    splits: &mut [Vec<f64>],
+    runs: &mut Vec<usize>,
+    solve: F,
+) -> Result<(), CoreError>
+where
+    F: Fn(usize, usize, &mut Vec<f64>, &mut OptimizerScratch, &mut Vec<usize>)
+            -> Result<(), CoreError>
+        + Sync,
+{
+    type Solved = Result<(Vec<f64>, Vec<usize>), CoreError>;
+    let active: Vec<usize> =
+        (0..groups.len()).filter(|&g| shares[g] > 0.0 && groups[g].len() >= 2).collect();
+    let workers = threads.min(active.len()).max(1);
+    let nested = (threads / workers).max(1);
+    let run_one = |j: usize, scratch: &mut OptimizerScratch| -> Solved {
+        let g = active[j];
+        let mut z = splits[g].clone();
+        let mut group_runs = Vec::new();
+        solve(g, nested, &mut z, scratch, &mut group_runs).map(|()| (z, group_runs))
+    };
+    let solved: Vec<Solved> = if workers <= 1 {
+        let mut scratch = OptimizerScratch::new();
+        (0..active.len()).map(|j| run_one(j, &mut scratch)).collect()
+    } else {
+        // Workers claim groups from a shared counter, so a large group
+        // never holds up the rest; which worker ran a group is timing-
+        // dependent, its result is not.
+        let next = AtomicUsize::new(0);
+        let per_worker: Vec<Vec<(usize, Solved)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = OptimizerScratch::new();
+                        let mut out = Vec::new();
+                        loop {
+                            // Relaxed: the counter only hands out indices;
+                            // results reach the caller through the join.
+                            let j = next.fetch_add(1, Ordering::Relaxed);
+                            if j >= active.len() {
+                                break out;
+                            }
+                            out.push((j, run_one(j, &mut scratch)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("cluster solve worker panicked"))
+                .collect()
+        });
+        let mut slots: Vec<Option<Solved>> = (0..active.len()).map(|_| None).collect();
+        for (j, result) in per_worker.into_iter().flatten() {
+            slots[j] = Some(result);
+        }
+        slots.into_iter().map(|slot| slot.expect("every group is claimed once")).collect()
+    };
+    for (&g, result) in active.iter().zip(solved) {
+        let (z, group_runs) = result?;
+        splits[g] = z;
+        runs.extend(group_runs);
     }
     Ok(())
 }
 
+/// One flat inner solve: the split `z` of `rate` units of traffic over
+/// `members`, recording its iteration count in `runs`.
+#[allow(clippy::too_many_arguments)]
+fn solve_leaf(
+    inner: &Inner<'_>,
+    members: &[NodeId],
+    rate: f64,
+    margin: f64,
+    z: &mut Vec<f64>,
+    warm: bool,
+    scratch: &mut OptimizerScratch,
+    runs: &mut Vec<usize>,
+) -> Result<(), CoreError> {
+    let problem = inner.problem(members, rate)?;
+    // A seed carried over from a smaller share can overload a member once
+    // the share grows; clamp it back inside the member capacities (the
+    // half-margin leaves the caps summing above one, so the clamp always
+    // lands feasible).
+    let member_caps: Vec<f64> = members
+        .iter()
+        .map(|&i| inner.mus[i.index()] * (1.0 - 0.5 * margin) / rate)
+        .collect();
+    clamp_to_caps(z, &member_caps);
+    if warm {
+        scratch.start_from(z);
+    }
+    let solution = inner.solver.run_with_scratch(&problem, z, scratch)?;
+    runs.push(solution.iterations);
+    *z = solution.allocation;
+    Ok(())
+}
+
 /// Solves one node of the multi-level member tree: the split `z` of
-/// `rate` units of traffic over `members` (`Σ z = 1`).
+/// `rate` units of traffic over `members` of landmark `landmark`'s
+/// cluster (`Σ z = 1`).
 ///
 /// A leaf (`members` within [`LEAF_MAX`], no levels left, or too small to
 /// split) runs one flat inner solve. An internal node partitions the
-/// `(home distance, index)`-sorted members into near-even contiguous
-/// chunks, solves chunk shares on a pooled sub-aggregate, recurses into
-/// each chunk, and runs a bounded share-refinement pass — the flat
-/// three-stage pipeline replayed at every level, warm-started from the
-/// incoming `z`. Every solver run lands a `hier.cluster_solve` span and
-/// adds to `inner_iterations`, so the traced timeline partition stays
-/// exact at any depth.
+/// members, sorted by `(distance to the landmark, index)`, into near-even
+/// contiguous chunks, solves chunk shares on a pooled sub-aggregate,
+/// recurses into each chunk (fanned out over `threads`), and runs a
+/// bounded share-refinement pass — the flat three-stage pipeline replayed
+/// at every level, warm-started from the incoming `z`. Every solver run
+/// lands in `runs` in the sequential visiting order, so the caller's
+/// `hier.cluster_solve` spans and `inner_iterations` stay exact at any
+/// depth and thread count.
 #[allow(clippy::too_many_arguments)]
 fn solve_member_tree(
-    oracle: &LandmarkOracle,
+    inner: &Inner<'_>,
+    landmark: usize,
     members: &[NodeId],
-    est_costs: &[f64],
-    mus: &[f64],
     rate: f64,
-    k: f64,
-    config: &HierarchicalConfig,
-    solver: &ResourceDirectedOptimizer,
-    scratch: &mut OptimizerScratch,
     levels_below: usize,
+    threads: usize,
     z: &mut Vec<f64>,
     warm: bool,
-    inner_iterations: &mut usize,
-    recorder: &mut dyn Recorder,
-    tick: &mut u64,
-    parent: Option<TraceContext>,
+    scratch: &mut OptimizerScratch,
+    runs: &mut Vec<usize>,
 ) -> Result<(), CoreError> {
+    let (mus, config) = (inner.mus, inner.config);
     let m = members.len();
     if m < 2 {
         return Ok(());
@@ -548,40 +736,15 @@ fn solve_member_tree(
     if levels_below == 0 || m <= LEAF_MAX {
         // Leaf: one flat inner solve over the members, mirroring the
         // flat path's per-cluster stage.
-        let inner = SingleFileProblem::from_parts(
-            members.iter().map(|&i| est_costs[i.index()]).collect(),
-            rate,
-            members
-                .iter()
-                .map(|&i| Mm1Delay::new(mus[i.index()]))
-                .collect::<Result<Vec<_>, _>>()?,
-            k,
-        )?;
-        let member_caps: Vec<f64> = members
-            .iter()
-            .map(|&i| mus[i.index()] * (1.0 - 0.5 * margin) / rate)
-            .collect();
-        clamp_to_caps(z, &member_caps);
-        if warm {
-            scratch.start_from(z);
-        }
-        let solution = solver.run_with_scratch(&inner, &z.clone(), scratch)?;
-        *inner_iterations += solution.iterations;
-        if let Some(ctx) = parent {
-            let id = recorder.reserve_span_ids(1);
-            let end = *tick + solution.iterations as u64;
-            emit_span(recorder, "hier.cluster_solve", ctx.child(id), *tick, end);
-        }
-        *tick += solution.iterations as u64;
-        *z = solution.allocation;
-        return Ok(());
+        return solve_leaf(inner, members, rate, margin, z, warm, scratch, runs);
     }
 
     // Internal node: deterministic partition into near-even contiguous
-    // chunks of the sorted member list. Sorting by distance to the home
-    // landmark groups members of similar network position, so a chunk's
-    // closest member is a fair access-cost representative for the chunk.
-    let order = sorted_by_home_distance(oracle, members);
+    // chunks of the sorted member list. Sorting by distance to the
+    // cluster's landmark groups members of similar network position, so a
+    // chunk's closest member is a fair access-cost representative for the
+    // chunk.
+    let order = sorted_by_landmark_distance(inner.oracle, landmark, members);
     let b = branching_factor(m, levels_below);
     let bounds: Vec<(usize, usize)> = (0..b).map(|c| (c * m / b, (c + 1) * m / b)).collect();
     let chunk_mu: Vec<f64> = bounds
@@ -590,7 +753,7 @@ fn solve_member_tree(
         .collect();
     let chunk_cost: Vec<f64> = bounds
         .iter()
-        .map(|&(lo, _)| est_costs[members[order[lo]].index()])
+        .map(|&(lo, _)| inner.est_costs[members[order[lo]].index()])
         .collect();
     let caps: Vec<f64> = chunk_mu.iter().map(|&mu_c| mu_c / rate * (1.0 - margin)).collect();
 
@@ -600,7 +763,7 @@ fn solve_member_tree(
         chunk_cost,
         rate,
         chunk_mu.iter().map(|&mu_c| Mm1Delay::new(mu_c)).collect::<Result<Vec<_>, _>>()?,
-        k,
+        inner.k,
     )?;
     let mut shares: Vec<f64> = bounds
         .iter()
@@ -617,14 +780,8 @@ fn solve_member_tree(
     if warm {
         scratch.start_from(&shares);
     }
-    let agg = solver.run_with_scratch(&aggregate, &shares.clone(), scratch)?;
-    *inner_iterations += agg.iterations;
-    if let Some(ctx) = parent {
-        let id = recorder.reserve_span_ids(1);
-        let end = *tick + agg.iterations as u64;
-        emit_span(recorder, "hier.cluster_solve", ctx.child(id), *tick, end);
-    }
-    *tick += agg.iterations as u64;
+    let agg = inner.solver.run_with_scratch(&aggregate, &shares, scratch)?;
+    runs.push(agg.iterations);
     shares = agg.allocation;
     clamp_to_caps(&mut shares, &caps);
 
@@ -649,29 +806,22 @@ fn solve_member_tree(
             }
         })
         .collect();
-    for (c, chunk) in chunk_members.iter().enumerate() {
-        if shares[c] <= 0.0 || chunk.len() < 2 {
-            continue;
-        }
-        solve_member_tree(
-            oracle, chunk, est_costs, mus, rate * shares[c], k, config, solver, scratch,
-            levels_below - 1, &mut subsplits[c], warm, inner_iterations, recorder, tick,
-            parent,
-        )?;
-    }
+    let solve_chunks =
+        |shares: &[f64], warm: bool, subsplits: &mut [Vec<f64>], runs: &mut Vec<usize>| {
+            let solve_chunk = |c: usize, nested, w: &mut Vec<f64>, scratch: &mut _, runs: &mut _| {
+                solve_member_tree(
+                    inner, landmark, &chunk_members[c], rate * shares[c], levels_below - 1,
+                    nested, w, warm, scratch, runs,
+                )
+            };
+            solve_groups(&chunk_members, shares, threads, subsplits, runs, solve_chunk)
+        };
+    solve_chunks(&shares, warm, &mut subsplits, runs)?;
 
     // Bounded share refinement across the chunks. The root's refine loop
     // already re-visits this whole subtree warm each round, so a couple
     // of local rounds are enough to even out chunk marginals.
-    let member_problem = SingleFileProblem::from_parts(
-        members.iter().map(|&i| est_costs[i.index()]).collect(),
-        rate,
-        members
-            .iter()
-            .map(|&i| Mm1Delay::new(mus[i.index()]))
-            .collect::<Result<Vec<_>, _>>()?,
-        k,
-    )?;
+    let member_problem = inner.problem(members, rate)?;
     let mut zc = compose_members(m, &bounds, &order, &shares, &subsplits);
     let mut best_z = zc.clone();
     let mut best_cost = member_problem.cost_of(&zc)?;
@@ -707,16 +857,7 @@ fn solve_member_tree(
         }
         project_onto_simplex(&mut shares, 1.0);
         clamp_to_caps(&mut shares, &caps);
-        for (c, chunk) in chunk_members.iter().enumerate() {
-            if shares[c] <= 0.0 || chunk.len() < 2 {
-                continue;
-            }
-            solve_member_tree(
-                oracle, chunk, est_costs, mus, rate * shares[c], k, config, solver,
-                scratch, levels_below - 1, &mut subsplits[c], true, inner_iterations,
-                recorder, tick, parent,
-            )?;
-        }
+        solve_chunks(&shares, true, &mut subsplits, runs)?;
         zc = compose_members(m, &bounds, &order, &shares, &subsplits);
         let cost = member_problem.cost_of(&zc)?;
         if cost < best_cost {
@@ -728,16 +869,20 @@ fn solve_member_tree(
     Ok(())
 }
 
-/// Indices into `members` sorted by `(distance to home landmark, node
-/// index)` — a deterministic, machine-independent order (`total_cmp`
+/// Indices into `members` sorted by `(distance to landmark `landmark`,
+/// node index)` — a deterministic, machine-independent order (`total_cmp`
 /// breaks no ties differently across platforms, and the node index
 /// settles exact-distance ties).
-fn sorted_by_home_distance(oracle: &LandmarkOracle, members: &[NodeId]) -> Vec<usize> {
+fn sorted_by_landmark_distance(
+    oracle: &LandmarkOracle,
+    landmark: usize,
+    members: &[NodeId],
+) -> Vec<usize> {
     let mut order: Vec<usize> = (0..members.len()).collect();
     order.sort_by(|&p, &q| {
         oracle
-            .home_distance(members[p])
-            .total_cmp(&oracle.home_distance(members[q]))
+            .landmark_distance(landmark, members[p])
+            .total_cmp(&oracle.landmark_distance(landmark, members[q]))
             .then(members[p].cmp(&members[q]))
     });
     order
@@ -790,7 +935,8 @@ fn compose_members(
     z
 }
 
-/// Assembles the global allocation `x_i = y_{home(i)} · z_i`.
+/// Assembles the global allocation `x_i = y_{a(i)} · z_i`, where `a(i)`
+/// is the cluster holding node `i`.
 fn compose(n: usize, clusters: &[Vec<NodeId>], shares: &[f64], splits: &[Vec<f64>]) -> Vec<f64> {
     let mut x = vec![0.0; n];
     for (a, members) in clusters.iter().enumerate() {
@@ -1025,14 +1171,47 @@ mod tests {
     }
 
     #[test]
-    fn member_sort_orders_by_home_distance_then_index() {
+    fn member_sort_orders_by_landmark_distance_then_index() {
         let (oracle, _pattern, _mus) = mesh_setup(30, 4);
         let members: Vec<NodeId> = (0..30).map(NodeId::new).collect();
-        let order = sorted_by_home_distance(&oracle, &members);
+        let order = sorted_by_landmark_distance(&oracle, 1, &members);
         for w in order.windows(2) {
             let (p, q) = (members[w[0]], members[w[1]]);
-            let (dp, dq) = (oracle.home_distance(p), oracle.home_distance(q));
+            let (dp, dq) = (oracle.landmark_distance(1, p), oracle.landmark_distance(1, q));
             assert!(dp < dq || (dp == dq && p < q));
+        }
+    }
+
+    #[test]
+    fn capped_partition_respects_the_cap_covers_every_node_once_and_is_deterministic() {
+        // Three landmarks on a sparse 300-node mesh: nearest-landmark
+        // clusters are far from even, so the cap binds.
+        let n = 300;
+        let g = topology::random_connected(n, 0.02, 1.0..4.0, 17).unwrap();
+        let oracle = LandmarkOracle::build(&g, 3, 11).unwrap();
+        let homes = oracle.cluster_members();
+        let cap = (11 * n).div_ceil(10 * 3);
+        assert!(homes.iter().any(|c| c.len() > cap), "the cap must bind on this mesh");
+
+        let clusters = capped_clusters(&oracle);
+        assert_eq!(clusters.len(), 3);
+        let mut seen = vec![0usize; n];
+        for (a, members) in clusters.iter().enumerate() {
+            assert!(members.len() <= cap, "cluster {a} holds {} > {cap}", members.len());
+            assert!(members.contains(&oracle.landmarks()[a]), "landmark {a} in its cluster");
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
+            for &v in members {
+                seen[v.index()] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 1), "every node in exactly one cluster");
+        assert_eq!(clusters, capped_clusters(&oracle));
+        // A node only leaves its home when the home filled up.
+        for (a, members) in clusters.iter().enumerate() {
+            for &v in members {
+                let home = oracle.home(v);
+                assert!(home == a || clusters[home].len() == cap);
+            }
         }
     }
 

@@ -212,11 +212,20 @@ pub enum SessionSeed {
 /// (visible as `serve.warm_starts` counted for chain heads, which a
 /// single-batch run never does).
 ///
+/// The store stays bounded under topology drift. The chain key covers the
+/// topology fingerprint, so every re-priced link starts a new chain; each
+/// seed therefore also records its chain's *shape* (the key without the
+/// fingerprint), and a batch whose chains run a shape drops that shape's
+/// seeds for every chain the batch did not run — the seeds of topologies
+/// the session has moved off. Same-shape chains on distinct topologies
+/// that run in one batch keep their seeds side by side.
+///
 /// Seeds only ever alter a starting iterate — never a problem — so stale
 /// or mismatched seeds cost iterations, not correctness.
 #[derive(Debug, Clone, Default)]
 pub struct SessionSeeds {
-    seeds: HashMap<u64, SessionSeed, FnvBuildHasher>,
+    /// Chain key → (chain shape, last converged allocation).
+    seeds: HashMap<u64, (u64, SessionSeed), FnvBuildHasher>,
 }
 
 impl SessionSeeds {
@@ -241,11 +250,21 @@ impl SessionSeeds {
     }
 
     fn get(&self, key: u64) -> Option<&SessionSeed> {
-        self.seeds.get(&key)
+        self.seeds.get(&key).map(|(_, seed)| seed)
     }
 
-    fn insert(&mut self, key: u64, seed: SessionSeed) {
-        self.seeds.insert(key, seed);
+    /// Records one batch's keyed chains as `(key, shape, converged tail)`:
+    /// drops every seed of a shape among them whose key is not, then
+    /// stores each converged tail.
+    fn record_batch(&mut self, chains: Vec<(u64, u64, Option<SessionSeed>)>) {
+        self.seeds.retain(|key, (shape, _)| {
+            chains.iter().any(|(k, _, _)| k == key) || chains.iter().all(|(_, s, _)| s != shape)
+        });
+        for (key, shape, tail) in chains {
+            if let Some(seed) = tail {
+                self.seeds.insert(key, (shape, seed));
+            }
+        }
     }
 }
 
@@ -504,30 +523,29 @@ impl BatchServer {
 
         // Seed write-back happens after the join, from the submission-order
         // responses: each keyed chain stores its *last* converged answer.
-        // Chain keys are disjoint across tasks, so the write order is
-        // immaterial and the stored seeds are shard-count-independent.
+        // Chain keys are disjoint across tasks and the store is updated
+        // once per batch, so the stored seeds are shard-count-independent.
         if let Some(store) = seeds {
             if self.warm_start {
-                for (task, &(start, end)) in tasks.iter().enumerate() {
-                    let Some(key) = keys[task] else { continue };
-                    for &index in order[start..end].iter().rev() {
-                        let Ok(response) = &responses[index] else { continue };
-                        if !response.converged() {
-                            continue;
-                        }
-                        let seed = match response {
-                            ServeResponse::SingleFile(s) => {
-                                SessionSeed::SingleFile(s.allocation.clone())
+                let chains = tasks
+                    .iter()
+                    .filter_map(|&(start, end)| {
+                        let (key, shape) = warm_hashes(&requests[order[start]])?;
+                        let tail = order[start..end].iter().rev().find_map(|&index| {
+                            match responses[index].as_ref().ok()? {
+                                ServeResponse::SingleFile(s) if s.converged => {
+                                    Some(SessionSeed::SingleFile(s.allocation.clone()))
+                                }
+                                ServeResponse::MultiFile(s) if s.converged => {
+                                    Some(SessionSeed::MultiFile(s.allocations.clone()))
+                                }
+                                _ => None,
                             }
-                            ServeResponse::MultiFile(s) => {
-                                SessionSeed::MultiFile(s.allocations.clone())
-                            }
-                            ServeResponse::Ring(_) => continue,
-                        };
-                        store.insert(key, seed);
-                        break;
-                    }
-                }
+                        });
+                        Some((key, shape, tail))
+                    })
+                    .collect();
+                store.record_batch(chains);
             }
         }
         ServeOutput { responses, shard_metrics, aggregate }
@@ -671,16 +689,23 @@ fn next_task(
 /// topology's solve from an allocation optimized for the old one — legal,
 /// just slow. Ring requests have no warm path and return `None`.
 fn warm_key(request: &ServeRequest) -> Option<u64> {
+    warm_hashes(request).map(|(key, _)| key)
+}
+
+/// `(warm key, chain shape)`: the shape is the key without the topology
+/// fingerprint (the FNV state just before it is absorbed; equal to the
+/// key when the request carries none). Chains of one shape on different
+/// topologies are what a drifting session leaves behind, and
+/// [`SessionSeeds`] evicts by shape.
+fn warm_hashes(request: &ServeRequest) -> Option<(u64, u64)> {
     let mut h = Fnv64::new();
-    match request {
+    let fingerprint = match request {
         ServeRequest::SingleFile { problem, alpha, epsilon, topology, .. } => {
             h.write_u64(1);
             h.write_usize(problem.dimension());
             h.write_u64(alpha.to_bits());
             h.write_u64(epsilon.to_bits());
-            if let Some(fingerprint) = topology {
-                h.write_u64(*fingerprint);
-            }
+            *topology
         }
         ServeRequest::MultiFile { problem, alpha, epsilon, topology, .. } => {
             h.write_u64(2);
@@ -688,13 +713,15 @@ fn warm_key(request: &ServeRequest) -> Option<u64> {
             h.write_usize(problem.node_count());
             h.write_u64(alpha.to_bits());
             h.write_u64(epsilon.to_bits());
-            if let Some(fingerprint) = topology {
-                h.write_u64(*fingerprint);
-            }
+            *topology
         }
         ServeRequest::Ring { .. } => return None,
+    };
+    let shape = h.finish64();
+    if let Some(fingerprint) = fingerprint {
+        h.write_u64(fingerprint);
     }
-    Some(h.finish64())
+    Some((h.finish64(), shape))
 }
 
 /// One shard's solver state: the scratch buffers reused across every
@@ -1291,6 +1318,32 @@ mod tests {
         let fresh_third =
             server.serve_session(&fingerprinted_stream(2, &mesh, mesh_fp), &mut fresh);
         assert_eq!(third.responses, fresh_third.responses);
+    }
+
+    #[test]
+    fn session_seeds_stay_bounded_under_topology_drift() {
+        let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
+        let ring = topology::ring(5, 1.0).unwrap();
+        let mesh = topology::full_mesh(5, 1.0).unwrap();
+        let mut seeds = SessionSeeds::new();
+        // Every batch re-prices the network, so every batch runs the one
+        // chain under a fresh fingerprint: the old seed is replaced, not
+        // stranded.
+        for batch in 0..20 {
+            let fingerprint = 100 + batch as u64;
+            server.serve_session(&fingerprinted_stream(batch, &ring, fingerprint), &mut seeds);
+            assert_eq!(seeds.len(), 1, "batch {batch} left a stale seed behind");
+        }
+        // Same-shape chains on two topologies in one batch keep both.
+        let mut both = fingerprinted_stream(0, &ring, 1);
+        both.extend(fingerprinted_stream(0, &mesh, 2));
+        server.serve_session(&both, &mut seeds);
+        assert_eq!(seeds.len(), 2);
+        // A later batch on one of them drops the other's seed, and its
+        // head is still seeded from its own chain.
+        let next = server.serve_session(&fingerprinted_stream(1, &mesh, 2), &mut seeds);
+        assert_eq!(next.aggregate.counter("serve.warm_starts"), 4);
+        assert_eq!(seeds.len(), 1);
     }
 
     #[test]

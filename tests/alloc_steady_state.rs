@@ -11,49 +11,68 @@
 //! `unsafe`, which is why this lives in an integration test crate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch, MultiFileSolution};
 use fap::net::{topology, AccessPattern};
 
-struct CountingAllocator {
-    enabled: AtomicBool,
-    allocations: AtomicU64,
+thread_local! {
+    // Per-thread, so the test harness's concurrently running tests never
+    // count each other's allocations: only the thread inside `counted`
+    // is armed. Const-initialized without a destructor, so reading them
+    // from inside the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+struct CountingAllocator;
+
+impl CountingAllocator {
+    fn count(&self) {
+        // `try_with`: a thread past its TLS teardown simply goes uncounted.
+        let _ = ARMED.try_with(|armed| {
+            if armed.get() {
+                ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract is passed straight through; the
+// counting touches only const-initialized thread-locals.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count();
+        // SAFETY: as for `dealloc`, plus the caller's `new_size` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator {
-    enabled: AtomicBool::new(false),
-    allocations: AtomicU64::new(0),
-};
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Runs `f` on the calling thread and returns the allocations it made on
+/// that thread (every measured solve here is sequential).
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    ALLOCATOR.allocations.store(0, Ordering::SeqCst);
-    ALLOCATOR.enabled.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     let value = f();
-    ALLOCATOR.enabled.store(false, Ordering::SeqCst);
-    (ALLOCATOR.allocations.load(Ordering::SeqCst), value)
+    ARMED.with(|armed| armed.set(false));
+    (ALLOCATIONS.with(Cell::get), value)
 }
 
 fn solve_n(

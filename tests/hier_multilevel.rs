@@ -1,15 +1,22 @@
 //! Multi-level cluster hierarchy contracts on the scale bench's pinned
 //! 512-node mesh (16×32 torus, seeded workload): depth 1 is **bit-for-bit
 //! the flat path** (the multi-level refactor cannot perturb committed
-//! checksums), deeper trees stay feasible and deterministic, and the
-//! sweep's own depth policy reproduces the flat results it claims to.
+//! checksums), deeper trees stay feasible and deterministic, the sweep's
+//! own depth policy reproduces the flat results it claims to, and the
+//! cluster fan-out returns the same bits and span stream at every thread
+//! count.
 
 use fap::prelude::*;
 use fap_bench::scale::{
     scale_graph, sparse_hierarchical_config, sparse_landmarks, sparse_levels, sparse_workload,
     SPARSE_SEED,
 };
-use fap_core::hierarchical::{solve_hierarchical, solve_hierarchical_multilevel};
+use fap::batch::Parallelism;
+use fap::obs::Telemetry;
+use fap_core::hierarchical::{
+    capped_clusters, solve_hierarchical, solve_hierarchical_multilevel,
+    solve_hierarchical_multilevel_observed, HierarchicalSolution,
+};
 
 const N: usize = 512;
 
@@ -84,4 +91,56 @@ fn zero_depth_is_rejected() {
     let err = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 0)
         .unwrap_err();
     assert!(err.to_string().contains("at least 1 level"), "{err}");
+}
+
+/// A traced solve at `threads` workers: the solution and its event
+/// stream rendered as JSONL.
+fn traced_solve(
+    oracle: &LandmarkOracle,
+    pattern: &AccessPattern,
+    mu: f64,
+    levels: usize,
+    threads: usize,
+) -> (HierarchicalSolution, String) {
+    let config = HierarchicalConfig {
+        parallelism: Parallelism::Fixed(threads),
+        ..sparse_hierarchical_config(pattern)
+    };
+    let mut tele = Telemetry::manual().with_tracing(true);
+    let solution = solve_hierarchical_multilevel_observed(
+        oracle, pattern, &vec![mu; N], 1.0, &config, levels, &mut tele,
+    )
+    .unwrap();
+    let mut events = String::new();
+    for event in tele.events() {
+        fap::obs::jsonl::write_event(&mut events, event);
+    }
+    (solution, events)
+}
+
+#[test]
+fn cluster_fan_out_is_bit_identical_at_one_two_and_four_threads() {
+    let (graph, pattern, mu, oracle) = pipeline();
+    // Two landmarks leave ~256-282-member clusters, so depth 2 runs the
+    // member tree (and its chunk fan-out) rather than the flat leaves.
+    let coarse = LandmarkOracle::build(&graph, 2, SPARSE_SEED).unwrap();
+    let sizes: Vec<usize> = capped_clusters(&coarse).iter().map(Vec::len).collect();
+    assert!(sizes.iter().any(|&s| s > 256), "cluster sizes {sizes:?}");
+    for (oracle, levels) in [(&oracle, 1usize), (&coarse, 2)] {
+        let (base, base_events) = traced_solve(oracle, &pattern, mu, levels, 1);
+        assert!(base_events.contains("hier.cluster_solve"), "the trace records cluster solves");
+        for threads in [2, 4] {
+            let (solution, events) = traced_solve(oracle, &pattern, mu, levels, threads);
+            let label = format!("depth {levels}, {threads} threads");
+            let (cost, again) = (base.estimated_cost, solution.estimated_cost);
+            assert_eq!(cost.to_bits(), again.to_bits(), "{label}");
+            assert_eq!(base.aggregate_iterations, solution.aggregate_iterations, "{label}");
+            assert_eq!(base.inner_iterations, solution.inner_iterations, "{label}");
+            assert_eq!(base.refine_rounds, solution.refine_rounds, "{label}");
+            for (a, b) in base.allocation.iter().zip(&solution.allocation) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+            }
+            assert_eq!(base_events, events, "{label}: span stream");
+        }
+    }
 }
