@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use fap_bench::paper;
 use fap_econ::{BoundaryRule, ResourceDirectedOptimizer, StepSize};
+use fap_obs::NoopRecorder;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_convergence");
@@ -16,7 +17,7 @@ fn bench(c: &mut Criterion) {
                 let s = ResourceDirectedOptimizer::new(StepSize::Fixed(alpha))
                     .with_boundary(BoundaryRule::Unconstrained)
                     .with_epsilon(paper::EPSILON)
-                    .run(black_box(&problem), black_box(&paper::START))
+                    .run(black_box(&problem), black_box(&paper::START), &mut NoopRecorder)
                     .expect("run succeeds");
                 assert!(s.converged);
                 s.iterations

@@ -8,6 +8,7 @@ use std::hint::black_box;
 use fap_bench::paper;
 use fap_core::{baseline, reference};
 use fap_econ::{BoundaryRule, ResourceDirectedOptimizer, StepSize};
+use fap_obs::NoopRecorder;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_fragmentation");
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
             ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
                 .with_boundary(BoundaryRule::Unconstrained)
                 .with_epsilon(paper::EPSILON)
-                .run(black_box(&problem), black_box(&[0.0, 0.0, 0.0, 1.0]))
+                .run(black_box(&problem), black_box(&[0.0, 0.0, 0.0, 1.0]), &mut NoopRecorder)
                 .expect("run succeeds")
                 .final_cost()
         });

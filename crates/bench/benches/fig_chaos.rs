@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fap_bench::paper;
+use fap_obs::NoopRecorder;
 use fap_runtime::{ChaosPlan, ExchangeScheme, SimRun};
 
 const ALPHA: f64 = 0.19;
@@ -63,7 +64,7 @@ fn bench(c: &mut Criterion) {
                     .with_epsilon(paper::EPSILON)
                     .with_max_rounds(100_000)
                     .with_chaos(black_box(plan.clone()))
-                    .run(black_box(&paper::START))
+                    .run(black_box(&paper::START), &mut NoopRecorder)
                     .expect("run succeeds");
                 assert!(r.converged);
                 (r.rounds, r.faults.dropped)

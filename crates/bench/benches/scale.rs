@@ -9,6 +9,7 @@ use std::hint::black_box;
 use fap_batch::Parallelism;
 use fap_bench::scale::{scale_graph, scale_problem};
 use fap_core::MultiFileScratch;
+use fap_obs::NoopRecorder;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
@@ -16,12 +17,16 @@ fn bench(c: &mut Criterion) {
     for n in [64usize, 256] {
         let graph = scale_graph(n);
         group.bench_function(format!("all_pairs_seq_n{n}"), |b| {
-            b.iter(|| black_box(&graph).shortest_path_matrix().expect("connected"));
+            b.iter(|| {
+                black_box(&graph)
+                    .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+                    .expect("connected")
+            });
         });
         group.bench_function(format!("all_pairs_par_n{n}"), |b| {
             b.iter(|| {
                 black_box(&graph)
-                    .shortest_path_matrix_parallel(Parallelism::Auto)
+                    .shortest_path_matrix(Parallelism::Auto, &mut NoopRecorder)
                     .expect("connected")
             });
         });
@@ -41,6 +46,7 @@ fn bench(c: &mut Criterion) {
                             10,
                             Parallelism::Sequential,
                             &mut seq_scratch,
+                            &mut NoopRecorder,
                         )
                         .expect("stable solve")
                 });
@@ -55,6 +61,7 @@ fn bench(c: &mut Criterion) {
                             10,
                             Parallelism::Auto,
                             &mut par_scratch,
+                            &mut NoopRecorder,
                         )
                         .expect("stable solve")
                 });

@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 use fap_batch::Parallelism;
 use fap_bench::serve::serve_workload;
+use fap_obs::NoopRecorder;
 use fap_serve::BatchServer;
 
 fn bench(c: &mut Criterion) {
@@ -16,12 +17,16 @@ fn bench(c: &mut Criterion) {
     for count in [12usize, 48] {
         let requests = serve_workload(count);
         group.bench_function(format!("sequential_r{count}"), |b| {
-            b.iter(|| BatchServer::new(Parallelism::Sequential).serve(black_box(&requests)));
+            b.iter(|| {
+                BatchServer::new(Parallelism::Sequential)
+                    .serve_observed(black_box(&requests), &mut NoopRecorder)
+            });
         });
         for shards in [2usize, 4] {
             group.bench_function(format!("sharded_r{count}_s{shards}"), |b| {
                 b.iter(|| {
-                    BatchServer::new(Parallelism::Fixed(shards)).serve(black_box(&requests))
+                    BatchServer::new(Parallelism::Fixed(shards))
+                        .serve_observed(black_box(&requests), &mut NoopRecorder)
                 });
             });
         }

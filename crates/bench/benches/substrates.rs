@@ -6,10 +6,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use fap_batch::Parallelism;
 use fap_core::SingleFileProblem;
 use fap_econ::projection::{compute_step, BoundaryRule};
 use fap_econ::AllocationProblem;
 use fap_net::{topology, AccessPattern};
+use fap_obs::NoopRecorder;
 use fap_queue::{NetworkSimulation, ServiceDistribution};
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +20,11 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         let graph = topology::random_connected(n, 0.1, 1.0..4.0, 7).expect("valid graph");
         group.bench_function(format!("all_pairs_dijkstra_n{n}"), |b| {
-            b.iter(|| black_box(&graph).shortest_path_matrix().expect("connected"));
+            b.iter(|| {
+                black_box(&graph)
+                    .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+                    .expect("connected")
+            });
         });
     }
 
@@ -43,7 +49,8 @@ fn bench(c: &mut Criterion) {
 
     {
         let graph = topology::ring(8, 1.0).expect("valid ring");
-        let costs = graph.shortest_path_matrix().expect("connected");
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+            .expect("connected");
         let pattern = AccessPattern::uniform(8, 1.0).expect("valid pattern");
         let service = ServiceDistribution::exponential(1.5).expect("valid service");
         let sim = NetworkSimulation::new(vec![0.125; 8], pattern, costs, service)

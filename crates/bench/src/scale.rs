@@ -26,6 +26,7 @@ use fap_core::{
 use fap_net::{
     topology, AccessPattern, CostMatrix, CostProvider, Graph, GraphDelta, LandmarkOracle,
 };
+use fap_obs::NoopRecorder;
 use serde::{Deserialize, Serialize};
 
 /// Largest `N` at which the sparse sweep still builds the dense reference
@@ -452,9 +453,10 @@ pub fn bench_scale_configured(
     let mut points = Vec::new();
     for &n in ns {
         let graph = scale_graph(n);
-        let (sequential_ms, seq) = time_ms(|| graph.shortest_path_matrix().expect("connected"));
-        let (parallel_ms, par) =
-            time_ms(|| graph.shortest_path_matrix_parallel(parallelism).expect("connected"));
+        let all_pairs =
+            |p: Parallelism| graph.shortest_path_matrix(p, &mut NoopRecorder).expect("connected");
+        let (sequential_ms, seq) = time_ms(|| all_pairs(Parallelism::Sequential));
+        let (parallel_ms, par) = time_ms(|| all_pairs(parallelism));
         assert_eq!(seq, par, "all-pairs parallel result diverged at N = {n}");
         points.push(ScalePoint {
             kind: "all_pairs".into(),
@@ -482,6 +484,7 @@ pub fn bench_scale_configured(
                         iterations,
                         Parallelism::Sequential,
                         &mut seq_scratch,
+                        &mut NoopRecorder,
                     )
                     .expect("stable solve")
             });
@@ -494,6 +497,7 @@ pub fn bench_scale_configured(
                         iterations,
                         parallelism,
                         &mut par_scratch,
+                        &mut NoopRecorder,
                     )
                     .expect("stable solve")
             });

@@ -19,6 +19,7 @@ use fap_batch::Parallelism;
 use fap_cache::CostMatrixCache;
 use fap_core::{MultiFileProblem, SingleFileProblem};
 use fap_net::{topology, AccessPattern, Graph};
+use fap_obs::NoopRecorder;
 use fap_ring::VirtualRing;
 use fap_serve::{BatchServer, ServeOutput, ServeRequest, ServeResponse};
 use serde::{Deserialize, Serialize};
@@ -230,14 +231,16 @@ fn bench_cache(count: usize) -> CachePoint {
     let (build_cold_ms, cold) = time_ms(|| {
         graphs
             .iter()
-            .map(|g| g.shortest_path_matrix().expect("valid graph"))
+            .map(|g| {
+                g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).expect("valid graph")
+            })
             .collect::<Vec<_>>()
     });
     let mut cache = CostMatrixCache::new();
     let (build_cached_ms, ()) = time_ms(|| {
         for (graph, fresh) in graphs.iter().zip(&cold) {
             let cached = cache
-                .get_or_compute(graph, Parallelism::Sequential)
+                .get_or_compute(graph, Parallelism::Sequential, &mut NoopRecorder)
                 .expect("valid graph");
             assert_eq!(
                 cached.as_matrix(),
@@ -261,14 +264,15 @@ fn bench_cache(count: usize) -> CachePoint {
 /// warm sharding stays bit-identical to warm sequential.
 fn bench_warm(count: usize, shard_counts: &[usize]) -> WarmPoint {
     let requests = perturbed_workload(count);
-    let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
+    let cold =
+        BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
     assert_eq!(cold.err_count(), 0, "the perturbed workload must solve cleanly");
-    let warm =
-        BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+    let warm = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+        .serve_observed(&requests, &mut NoopRecorder);
     for &shards in shard_counts {
         let sharded = BatchServer::new(Parallelism::Fixed(shards))
             .with_warm_start(true)
-            .serve(&requests);
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(
             warm.responses, sharded.responses,
             "warm sharded serving diverged at requests = {count}, shards = {shards}"
@@ -329,13 +333,12 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     let mut points = Vec::new();
     for &count in batch_sizes {
         let requests = serve_workload(count);
-        let (sequential_ms, sequential) =
-            time_ms(|| BatchServer::new(Parallelism::Sequential).serve(&requests));
+        let serve = |p: Parallelism| BatchServer::new(p).serve_observed(&requests, &mut NoopRecorder);
+        let (sequential_ms, sequential) = time_ms(|| serve(Parallelism::Sequential));
         assert_eq!(sequential.err_count(), 0, "the benchmark workload must solve cleanly");
         let checksum = checksum_output(&sequential);
         for &shards in shard_counts {
-            let (sharded_ms, sharded) =
-                time_ms(|| BatchServer::new(Parallelism::Fixed(shards)).serve(&requests));
+            let (sharded_ms, sharded) = time_ms(|| serve(Parallelism::Fixed(shards)));
             assert_eq!(
                 sequential.responses, sharded.responses,
                 "sharded serving diverged at requests = {count}, shards = {shards}"

@@ -38,12 +38,13 @@
 //! ```
 //! use fap_cache::CostMatrixCache;
 //! use fap_net::{topology, Parallelism};
+//! use fap_obs::NoopRecorder;
 //!
 //! let ring = topology::ring(8, 1.0)?;
 //! let mut cache = CostMatrixCache::new();
-//! let first = cache.get_or_compute(&ring, Parallelism::Sequential)?.clone();
+//! let first = cache.get_or_compute(&ring, Parallelism::Sequential, &mut NoopRecorder)?.clone();
 //! // Second lookup is a pure hash-map hit: no Dijkstra, no allocation.
-//! let second = cache.get_or_compute(&ring, Parallelism::Sequential)?;
+//! let second = cache.get_or_compute(&ring, Parallelism::Sequential, &mut NoopRecorder)?;
 //! assert_eq!(&first, second);
 //! assert_eq!((cache.hits(), cache.misses()), (1, 1));
 //! # Ok::<(), fap_net::NetError>(())
@@ -103,7 +104,7 @@ struct CacheEntry {
 ///
 /// Lookups on a warm key are allocation-free: the fingerprint is computed on
 /// the stack and the map is probed in place. Misses run
-/// [`Graph::shortest_path_matrix_parallel`] once and retain the result —
+/// [`Graph::shortest_path_matrix`] once and retain the result —
 /// one entry per distinct topology, sized `n²` floats each, tracked by
 /// [`CostMatrixCache::bytes`].
 ///
@@ -191,26 +192,11 @@ impl CostMatrixCache {
     }
 
     /// Returns the cached matrix for `graph`, computing and caching it on
-    /// first sight. See [`CostMatrixCache::get_or_compute_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetError::Disconnected`] from the shortest-path run; a
-    /// failed computation is not cached.
-    pub fn get_or_compute(
-        &mut self,
-        graph: &Graph,
-        parallelism: Parallelism,
-    ) -> Result<&CostMatrix, NetError> {
-        self.get_or_compute_observed(graph, parallelism, &mut NoopRecorder)
-    }
-
-    /// Returns the cached matrix for `graph`, computing and caching it on
     /// first sight, recording `cache.hit` / `cache.miss` counters and the
     /// `cache.bytes` gauge into `recorder`.
     ///
     /// The returned matrix is bit-identical to a fresh
-    /// [`Graph::shortest_path_matrix_parallel`] run: hits return the stored
+    /// [`Graph::shortest_path_matrix`] run: hits return the stored
     /// result of exactly that computation, and the fingerprint never merges
     /// structurally distinct graphs (checked structurally in debug builds).
     ///
@@ -223,7 +209,7 @@ impl CostMatrixCache {
     ///
     /// Debug builds panic if two structurally different graphs ever share a
     /// fingerprint (a 64-bit collision), rather than serving a wrong matrix.
-    pub fn get_or_compute_observed(
+    pub fn get_or_compute(
         &mut self,
         graph: &Graph,
         parallelism: Parallelism,
@@ -250,7 +236,7 @@ impl CostMatrixCache {
         self.misses += 1;
         recorder.incr("cache.miss", 1);
         fap_obs::emit_marker_span(recorder, "cache.miss");
-        let matrix = graph.shortest_path_matrix_parallel(parallelism)?;
+        let matrix = graph.shortest_path_matrix(parallelism, &mut NoopRecorder)?;
         let n = matrix.node_count() as u64;
         self.bytes += n * n * 8;
         self.entries.insert(key, CacheEntry { graph: graph.clone(), matrix });
@@ -318,10 +304,11 @@ mod tests {
     #[test]
     fn hit_returns_the_identical_matrix() {
         let g = topology::full_mesh(7, 2.0).unwrap();
-        let fresh = g.shortest_path_matrix().unwrap();
+        let fresh = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let mut cache = CostMatrixCache::new();
-        let miss = cache.get_or_compute(&g, Parallelism::Sequential).unwrap().clone();
-        let hit = cache.get_or_compute(&g, Parallelism::Sequential).unwrap();
+        let miss =
+            cache.get_or_compute(&g, Parallelism::Sequential, &mut NoopRecorder).unwrap().clone();
+        let hit = cache.get_or_compute(&g, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(&fresh, &miss);
         assert_eq!(&fresh, hit);
         assert_eq!(cache.hits(), 1);
@@ -334,8 +321,8 @@ mod tests {
         let mut cache = CostMatrixCache::new();
         let a = topology::ring(4, 1.0).unwrap();
         let b = topology::ring(8, 1.0).unwrap();
-        cache.get_or_compute(&a, Parallelism::Sequential).unwrap();
-        cache.get_or_compute(&b, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&a, Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        cache.get_or_compute(&b, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.bytes(), (4 * 4 + 8 * 8) * 8);
@@ -345,7 +332,8 @@ mod tests {
     fn failed_computation_is_not_cached() {
         let disconnected = Graph::new(3); // no links at all
         let mut cache = CostMatrixCache::new();
-        assert!(cache.get_or_compute(&disconnected, Parallelism::Sequential).is_err());
+        let noop = &mut NoopRecorder;
+        assert!(cache.get_or_compute(&disconnected, Parallelism::Sequential, noop).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
         // Misses count attempts, so the failure is visible in telemetry.
@@ -357,9 +345,9 @@ mod tests {
         let g = topology::ring(4, 1.0).unwrap();
         let mut reg = fap_obs::MetricsRegistry::new();
         let mut cache = CostMatrixCache::new();
-        cache.get_or_compute_observed(&g, Parallelism::Sequential, &mut reg).unwrap();
-        cache.get_or_compute_observed(&g, Parallelism::Sequential, &mut reg).unwrap();
-        cache.get_or_compute_observed(&g, Parallelism::Sequential, &mut reg).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut reg).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut reg).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut reg).unwrap();
         assert_eq!(reg.counter("cache.miss"), 1);
         assert_eq!(reg.counter("cache.hit"), 2);
         assert_eq!(reg.gauge_value("cache.bytes"), Some((4.0 * 4.0) * 8.0));
@@ -369,12 +357,12 @@ mod tests {
     fn clear_resets_entries_and_bytes_but_keeps_lifetime_counters() {
         let g = topology::ring(4, 1.0).unwrap();
         let mut cache = CostMatrixCache::new();
-        cache.get_or_compute(&g, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.misses(), 1);
-        cache.get_or_compute(&g, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.misses(), 2);
     }
 
@@ -386,9 +374,9 @@ mod tests {
         let b = topology::ring(4, 2.0).unwrap();
         let c = topology::ring(4, 3.0).unwrap();
         let mut cache = CostMatrixCache::with_byte_limit(300);
-        cache.get_or_compute(&a, Parallelism::Sequential).unwrap();
-        cache.get_or_compute(&b, Parallelism::Sequential).unwrap();
-        cache.get_or_compute(&c, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&a, Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        cache.get_or_compute(&b, Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        cache.get_or_compute(&c, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes(), 2 * 4 * 4 * 8);
@@ -397,7 +385,7 @@ mod tests {
         assert!(cache.peek(topology_fingerprint(&c)).is_some());
         // Touching b again is still a hit — eviction never corrupts
         // surviving entries.
-        cache.get_or_compute(&b, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&b, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.hits(), 1);
     }
 
@@ -405,13 +393,13 @@ mod tests {
     fn the_sole_entry_survives_even_over_budget() {
         let big = topology::full_mesh(8, 1.0).unwrap(); // 512 bytes
         let mut cache = CostMatrixCache::with_byte_limit(100);
-        cache.get_or_compute(&big, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&big, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
         assert!(cache.bytes() > 100);
         // A second oversized topology evicts the first but is itself kept.
         let other = topology::full_mesh(8, 2.0).unwrap();
-        cache.get_or_compute(&other, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&other, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.peek(topology_fingerprint(&other)).is_some());
@@ -423,9 +411,9 @@ mod tests {
         let mut cache = CostMatrixCache::new();
         let a = topology::ring(4, 1.0).unwrap();
         let b = topology::ring(4, 2.0).unwrap();
-        cache.get_or_compute_observed(&a, Parallelism::Sequential, &mut reg).unwrap();
+        cache.get_or_compute(&a, Parallelism::Sequential, &mut reg).unwrap();
         cache.set_byte_limit(Some(128));
-        cache.get_or_compute_observed(&b, Parallelism::Sequential, &mut reg).unwrap();
+        cache.get_or_compute(&b, Parallelism::Sequential, &mut reg).unwrap();
         assert_eq!(reg.counter("cache.evictions"), 1);
         assert_eq!(reg.gauge_value("cache.bytes"), Some(128.0));
         assert_eq!(cache.byte_limit(), Some(128));
@@ -436,7 +424,7 @@ mod tests {
         let g = topology::ring(4, 1.0).unwrap();
         let mut cache = CostMatrixCache::new();
         assert!(cache.peek(topology_fingerprint(&g)).is_none());
-        cache.get_or_compute(&g, Parallelism::Sequential).unwrap();
+        cache.get_or_compute(&g, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert!(cache.peek(topology_fingerprint(&g)).is_some());
     }
 }

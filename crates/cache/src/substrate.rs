@@ -1,12 +1,12 @@
 //! Cost-substrate selection and caching.
 //!
 //! PR 7 makes every solver generic over [`CostProvider`], which leaves the
-//! serving layer with a choice per request: the exact dense [`CostMatrix`]
-//! (`n²` floats, all-pairs Dijkstra) or the sparse [`LandmarkOracle`]
-//! (`K·n` floats, `K` Dijkstra runs). [`CostBackend`] names that choice in a
-//! serializable form the CLI and `ServeSpec` share, and [`SubstrateCache`]
-//! memoizes both kinds behind the same content-addressed fingerprints as
-//! [`CostMatrixCache`](crate::CostMatrixCache):
+//! serving layer with a choice per request: the exact dense
+//! [`CostMatrix`](fap_net::CostMatrix) (`n²` floats, all-pairs Dijkstra)
+//! or the sparse [`LandmarkOracle`] (`K·n` floats, `K` Dijkstra runs).
+//! [`CostBackend`] names that choice in a serializable form the CLI and
+//! `ServeSpec` share, and [`SubstrateCache`] memoizes both kinds behind
+//! the same content-addressed fingerprints as [`CostMatrixCache`]:
 //!
 //! * dense entries are keyed by [`topology_fingerprint`] alone;
 //! * landmark entries are keyed by `(fingerprint, k, seed)` — the oracle is
@@ -250,23 +250,6 @@ impl LandmarkOracleCache {
         self.enforce_budget(&key);
         recorder.gauge("cache.landmark_bytes", self.bytes() as f64);
         Ok(&self.entries[&key].oracle)
-    }
-
-    /// Like [`LandmarkOracleCache::get_or_build`], but tries to repair a
-    /// cached same-`(k, seed)` oracle across a small topology edit before
-    /// falling back to a full rebuild. See
-    /// [`LandmarkOracleCache::get_or_update_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetError`] from the fallback build.
-    pub fn get_or_update(
-        &mut self,
-        graph: &Graph,
-        k: usize,
-        seed: u64,
-    ) -> Result<&LandmarkOracle, NetError> {
-        self.get_or_update_observed(graph, k, seed, &mut NoopRecorder)
     }
 
     /// Returns the oracle for `(graph, k, seed)`, preferring an
@@ -548,22 +531,6 @@ impl SubstrateCache {
     }
 
     /// Returns the provider for `(graph, backend)`, computing it on first
-    /// sight. See [`SubstrateCache::get_or_build_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetError`] from the underlying build, including
-    /// [`NetError::TooLarge`] when a dense build exceeds the element budget.
-    pub fn get_or_build(
-        &mut self,
-        graph: &Graph,
-        backend: CostBackend,
-        parallelism: Parallelism,
-    ) -> Result<&dyn CostProvider, NetError> {
-        self.get_or_build_observed(graph, backend, parallelism, &mut NoopRecorder)
-    }
-
-    /// Returns the provider for `(graph, backend)`, computing it on first
     /// sight and recording the respective cache counters.
     ///
     /// Dense requests hit the all-pairs matrix cache (budget-guarded, so an
@@ -573,7 +540,7 @@ impl SubstrateCache {
     /// # Errors
     ///
     /// Propagates [`NetError`] from the underlying build.
-    pub fn get_or_build_observed(
+    pub fn get_or_build(
         &mut self,
         graph: &Graph,
         backend: CostBackend,
@@ -583,7 +550,7 @@ impl SubstrateCache {
         match backend {
             CostBackend::Dense => self
                 .dense
-                .get_or_compute_observed(graph, parallelism, recorder)
+                .get_or_compute(graph, parallelism, recorder)
                 .map(|m| m as &dyn CostProvider),
             CostBackend::Landmark { landmarks, seed } => self
                 .landmarks
@@ -592,7 +559,7 @@ impl SubstrateCache {
         }
     }
 
-    /// Like [`SubstrateCache::get_or_build_observed`], but landmark
+    /// Like [`SubstrateCache::get_or_build`], but landmark
     /// requests go through [`LandmarkOracleCache::get_or_update_observed`]:
     /// a cached oracle survives a small topology edit as an incremental
     /// repair instead of a cold rebuild. Dense requests are unaffected
@@ -602,7 +569,7 @@ impl SubstrateCache {
     /// # Errors
     ///
     /// Propagates [`NetError`] from the underlying build.
-    pub fn get_or_update_observed(
+    pub fn get_or_update(
         &mut self,
         graph: &Graph,
         backend: CostBackend,
@@ -612,7 +579,7 @@ impl SubstrateCache {
         match backend {
             CostBackend::Dense => self
                 .dense
-                .get_or_compute_observed(graph, parallelism, recorder)
+                .get_or_compute(graph, parallelism, recorder)
                 .map(|m| m as &dyn CostProvider),
             CostBackend::Landmark { landmarks, seed } => self
                 .landmarks
@@ -780,10 +747,11 @@ mod tests {
         // The repaired oracle is bit-identical to a rebuild on the edited
         // topology over the same landmark chain (a cold `build` may pick
         // different landmarks — the stable chain is the point of warmth).
-        let chain = cache.get_or_update(&edited, 6, 11).unwrap().landmarks().to_vec();
+        let oracle = cache.get_or_update_observed(&edited, 6, 11, &mut NoopRecorder).unwrap();
+        let chain = oracle.landmarks().to_vec();
         let fresh =
             LandmarkOracle::with_landmarks(&edited, &chain, Parallelism::Sequential).unwrap();
-        let repaired = cache.get_or_update(&edited, 6, 11).unwrap();
+        let repaired = cache.get_or_update_observed(&edited, 6, 11, &mut NoopRecorder).unwrap();
         for a in 0..40 {
             for b in 0..40 {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
@@ -804,12 +772,13 @@ mod tests {
         let newcomer = joined.push_node();
         joined.add_link(NodeId::new(0), newcomer, 0.5).unwrap();
         joined.add_link(NodeId::new(8), newcomer, 1.5).unwrap();
-        cache.get_or_update(&joined, 4, 2).unwrap();
+        cache.get_or_update_observed(&joined, 4, 2, &mut NoopRecorder).unwrap();
         assert_eq!(cache.incremental_updates(), 1);
-        let chain = cache.get_or_update(&joined, 4, 2).unwrap().landmarks().to_vec();
+        let oracle = cache.get_or_update_observed(&joined, 4, 2, &mut NoopRecorder).unwrap();
+        let chain = oracle.landmarks().to_vec();
         let fresh =
             LandmarkOracle::with_landmarks(&joined, &chain, Parallelism::Sequential).unwrap();
-        let repaired = cache.get_or_update(&joined, 4, 2).unwrap();
+        let repaired = cache.get_or_update_observed(&joined, 4, 2, &mut NoopRecorder).unwrap();
         for a in 0..17 {
             for b in 0..17 {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
@@ -818,12 +787,13 @@ mod tests {
         }
 
         // Leave: the newcomer departs again — back to the original ring.
-        cache.get_or_update(&g, 4, 2).unwrap();
+        cache.get_or_update_observed(&g, 4, 2, &mut NoopRecorder).unwrap();
         assert_eq!(cache.incremental_updates(), 2);
-        let chain = cache.get_or_update(&g, 4, 2).unwrap().landmarks().to_vec();
+        let chain =
+            cache.get_or_update_observed(&g, 4, 2, &mut NoopRecorder).unwrap().landmarks().to_vec();
         let fresh =
             LandmarkOracle::with_landmarks(&g, &chain, Parallelism::Sequential).unwrap();
-        let repaired = cache.get_or_update(&g, 4, 2).unwrap();
+        let repaired = cache.get_or_update_observed(&g, 4, 2, &mut NoopRecorder).unwrap();
         for a in 0..16 {
             for b in 0..16 {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
@@ -839,7 +809,7 @@ mod tests {
         cache.get_or_build(&g, 4, 2).unwrap();
         // A structurally different topology: no recognizable small delta.
         let other = topology::random_connected(16, 0.4, 1.0..3.0, 9).unwrap();
-        cache.get_or_update(&other, 4, 2).unwrap();
+        cache.get_or_update_observed(&other, 4, 2, &mut NoopRecorder).unwrap();
         assert_eq!(cache.incremental_updates(), 0);
         assert_eq!(cache.misses(), 2, "fell back to a full build");
         assert_eq!(cache.len(), 2, "both topologies stay cached");
@@ -849,10 +819,11 @@ mod tests {
     fn substrate_cache_dispatches_by_backend() {
         let g = topology::ring(9, 1.0).unwrap();
         let pattern = AccessPattern::uniform(9, 1.0).unwrap();
-        let exact = g.shortest_path_matrix().unwrap();
+        let exact = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let mut cache = SubstrateCache::new();
-        let dense =
-            cache.get_or_build(&g, CostBackend::Dense, Parallelism::Sequential).unwrap();
+        let dense = cache
+            .get_or_build(&g, CostBackend::Dense, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         // The dense provider is the exact matrix, bit for bit.
         let via_cache = dense.systemwide_access_costs(&pattern);
         let direct = exact.systemwide_access_costs(&pattern);
@@ -860,14 +831,15 @@ mod tests {
         for (a, b) in via_cache.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let sparse = cache
-            .get_or_build(&g, CostBackend::Landmark { landmarks: 3, seed: 1 }, Parallelism::Sequential)
-            .unwrap();
+        let backend = CostBackend::Landmark { landmarks: 3, seed: 1 };
+        let sparse =
+            cache.get_or_build(&g, backend, Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(sparse.node_count(), 9);
         assert_eq!(cache.dense().misses(), 1);
         assert_eq!(cache.landmarks().misses(), 1);
         // Each side hits independently.
-        cache.get_or_build(&g, CostBackend::Dense, Parallelism::Sequential).unwrap();
+        cache.get_or_build(&g, CostBackend::Dense, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(cache.dense().hits(), 1);
     }
 }

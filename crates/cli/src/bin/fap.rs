@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! fap solve <scenario.json>              solve and print the allocation
-//! fap run <scenario.json>                alias for solve
 //! fap simulate <scenario.json>           solve, then measure with the DES
 //! fap sim <scenario.json> [chaos.json]   run the protocol under faults
 //! fap serve <requests.json> [--shards N] [--warm-start] [--oracle-update]
@@ -33,7 +32,7 @@
 //! fap chaos-example                      print a template fault plan
 //! ```
 //!
-//! `solve`, `run`, `sim`, `serve`, `served` and `track` accept
+//! `solve`, `sim`, `serve`, `served` and `track` accept
 //! `--metrics-out <path.jsonl>`
 //! to export the run's telemetry and `--metrics-summary` to print the
 //! metrics table. By default the export is buffered in memory and written
@@ -47,7 +46,7 @@ use std::io::BufWriter;
 use std::path::Path;
 use std::process::ExitCode;
 
-use fap_cli::{chaos_sim_observed, simulate, solve_observed, summarize, sweep_k, Scenario};
+use fap_cli::{chaos_sim, simulate, solve, summarize, sweep_k, Scenario};
 use fap_obs::{JsonlSink, Recorder, Telemetry};
 use fap_runtime::ChaosPlan;
 
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   fap solve <scenario.json> [--metrics-out <path.jsonl>] [--metrics-summary]
-  fap run   <scenario.json> [--metrics-out <path.jsonl>] [--metrics-summary]
   fap simulate <scenario.json>
   fap sim <scenario.json> [chaos.json] [--metrics-out <path.jsonl>] [--metrics-summary]
   fap serve <requests.json> [--shards <n>] [--warm-start] [--oracle-update] [--metrics-out <path.jsonl>] [--metrics-summary]
@@ -97,7 +95,7 @@ const USAGE: &str = "usage:
 metrics flags also accept --metrics-flush-every <n> to stream the export
 (requires --metrics-out; flushes every n events instead of buffering)
 
-solve, run, sim and serve also accept cost-substrate flags:
+solve, sim and serve also accept cost-substrate flags:
   --cost-backend dense|landmark   exact n^2 matrix (default) or the sparse
                                   landmark oracle (scales past the dense
                                   element budget)
@@ -108,7 +106,7 @@ serve and served also accept --oracle-update: repair cached landmark
 oracles across small topology edits (edge re-price, node join/leave)
 instead of rebuilding them";
 
-/// Telemetry flags shared by `solve`/`run`/`sim`/`serve`.
+/// Telemetry flags shared by `solve`/`sim`/`serve`.
 #[derive(Debug, Default)]
 struct MetricsOptions {
     out: Option<String>,
@@ -268,11 +266,11 @@ fn run(args: &[String]) -> Result<(), String> {
     if metrics.requested()
         && !matches!(
             args.first().map(String::as_str),
-            Some("solve" | "run" | "sim" | "serve" | "served" | "track")
+            Some("solve" | "sim" | "serve" | "served" | "track")
         )
     {
         return Err(
-            "--metrics-out/--metrics-summary/--metrics-flush-every only apply to solve, run, sim, serve, served and track"
+            "--metrics-out/--metrics-summary/--metrics-flush-every only apply to solve, sim, serve, served and track"
                 .into(),
         );
     }
@@ -280,11 +278,11 @@ fn run(args: &[String]) -> Result<(), String> {
     if backend.is_some()
         && !matches!(
             args.first().map(String::as_str),
-            Some("solve" | "run" | "sim" | "serve")
+            Some("solve" | "sim" | "serve")
         )
     {
         return Err(
-            "--cost-backend/--landmarks/--landmark-seed only apply to solve, run, sim and serve"
+            "--cost-backend/--landmarks/--landmark-seed only apply to solve, sim and serve"
                 .into(),
         );
     }
@@ -295,14 +293,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 println!("{}", Scenario::example().to_json());
                 Ok(())
             }
-            ("solve" | "run", [path]) => {
+            ("solve", [path]) => {
                 let mut scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
                 if let Some(backend) = backend {
                     scenario.cost_backend = backend;
                 }
                 let mut sink = metrics.sink()?;
-                let output =
-                    solve_observed(&scenario, sink.recorder()).map_err(|e| e.to_string())?;
+                let output = solve(&scenario, sink.recorder()).map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 println!("converged:  {} ({} iterations)", output.converged, output.iterations);
                 println!("cost:       {:.6}", output.cost);
@@ -360,7 +357,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     _ => ChaosPlan::new(0),
                 };
                 let mut sink = metrics.sink()?;
-                let report = chaos_sim_observed(&scenario, plan, sink.recorder())
+                let report = chaos_sim(&scenario, plan, sink.recorder())
                     .map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 let json = serde_json::to_string_pretty(&report)
@@ -401,7 +398,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     }
                 }
                 let mut sink = metrics.sink()?;
-                let output = fap_cli::serve::serve_specs_configured(
+                let output = fap_cli::serve::serve_specs(
                     &specs,
                     shards,
                     warm_start,

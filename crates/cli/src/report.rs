@@ -1,6 +1,6 @@
 //! `fap report`: summarizing an exported metrics JSONL file.
 //!
-//! The input is the stream written by `fap run --metrics-out` or
+//! The input is the stream written by `fap solve --metrics-out` or
 //! `fap sim --metrics-out` (events first, then the registry snapshot — see
 //! `fap_obs::jsonl`). The summary answers the three questions the ISSUE
 //! poses of a run: how many iterations/rounds until convergence, how many
@@ -393,7 +393,7 @@ pub fn render_json(summary: &ReportSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::chaos_sim_observed;
+    use crate::run::chaos_sim;
     use crate::Scenario;
     use fap_obs::Telemetry;
     use fap_runtime::ChaosPlan;
@@ -406,7 +406,7 @@ mod tests {
             .with_staleness_bound(2)
             .with_retries(1);
         let mut telemetry = Telemetry::manual();
-        chaos_sim_observed(&scenario, plan, &mut telemetry).unwrap();
+        chaos_sim(&scenario, plan, &mut telemetry).unwrap();
         telemetry.to_jsonl()
     }
 
@@ -501,7 +501,7 @@ mod tests {
         let mut telemetry = Telemetry::manual();
         let solution = fap_ring::RingSolver::new(0.1)
             .with_max_iterations(3_000)
-            .solve_observed(&ring, &[2.0, 0.0, 0.0, 0.0], &mut telemetry)
+            .solve(&ring, &[2.0, 0.0, 0.0, 0.0], &mut telemetry)
             .unwrap();
         assert!(solution.iterations > 0);
         let summary = summarize(&telemetry.to_jsonl()).unwrap();
@@ -521,7 +521,7 @@ mod tests {
         let run = fap_runtime::DriftRun::new(&graph, config).unwrap();
         let mut telemetry = Telemetry::manual();
         let report =
-            run.run_observed(fap_batch::Parallelism::Sequential, &mut telemetry).unwrap();
+            run.run(fap_batch::Parallelism::Sequential, &mut telemetry).unwrap();
         let summary = summarize(&telemetry.to_jsonl()).unwrap();
         assert!(summary
             .counters

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use fap_batch::Parallelism;
 use fap_core::{reference, tuning, SingleFileProblem};
 use fap_econ::{ResourceDirectedOptimizer, StepSize};
 use fap_obs::{NoopRecorder, Recorder};
@@ -43,7 +44,8 @@ pub(crate) fn problem_of(scenario: &Scenario) -> Result<SingleFileProblem, Scena
     let graph = scenario.topology.build()?;
     match scenario.cost_backend {
         fap_cache::CostBackend::Dense => {
-            let costs = graph.shortest_path_matrix().map_err(net_error)?;
+            let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+                .map_err(net_error)?;
             problem_of_with_costs(scenario, &costs)
         }
         fap_cache::CostBackend::Landmark { landmarks, seed } => {
@@ -71,25 +73,17 @@ pub(crate) fn problem_of_with_costs(
 }
 
 /// Solves a scenario with the decentralized algorithm and cross-checks the
-/// closed-form reference.
+/// closed-form reference, recording the optimizer's per-iteration
+/// telemetry (`econ.*` counters, gauges and `iter`/`run_end` events) into
+/// `recorder`. Virtual time is the iteration counter, so with a
+/// manual-clock [`fap_obs::Telemetry`] the emitted stream is
+/// deterministic.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError::Invalid`] if the scenario cannot be built or
 /// the solve fails.
-pub fn solve(scenario: &Scenario) -> Result<SolveOutput, ScenarioError> {
-    self::solve_observed(scenario, &mut NoopRecorder)
-}
-
-/// Like [`solve`], recording the optimizer's per-iteration telemetry
-/// (`econ.*` counters, gauges and `iter`/`run_end` events) into `recorder`.
-/// Virtual time is the iteration counter, so with a manual-clock
-/// [`fap_obs::Telemetry`] the emitted stream is deterministic.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_observed(
+pub fn solve(
     scenario: &Scenario,
     recorder: &mut dyn Recorder,
 ) -> Result<SolveOutput, ScenarioError> {
@@ -99,7 +93,7 @@ pub fn solve_observed(
     let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(scenario.alpha))
         .with_epsilon(scenario.epsilon)
         .with_max_iterations(1_000_000)
-        .run_observed(&problem, &initial, recorder)
+        .run(&problem, &initial, recorder)
         .map_err(|e| ScenarioError::Invalid(e.to_string()))?;
     let exact = reference::solve(&problem).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
     Ok(SolveOutput {
@@ -120,9 +114,10 @@ pub fn solve_observed(
 /// Returns [`ScenarioError::Invalid`] if the scenario cannot be built or
 /// simulated.
 pub fn simulate(scenario: &Scenario) -> Result<(SolveOutput, SimReport), ScenarioError> {
-    let output = solve(scenario)?;
+    let output = solve(scenario, &mut NoopRecorder)?;
     let graph = scenario.topology.build()?;
-    let costs = graph.shortest_path_matrix().map_err(net_error)?;
+    let costs =
+        graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).map_err(net_error)?;
     let services: Vec<ServiceDistribution> = scenario
         .service_rates()
         .iter()
@@ -144,28 +139,19 @@ pub fn simulate(scenario: &Scenario) -> Result<(SolveOutput, SimReport), Scenari
 }
 
 /// Runs the decentralized protocol for a scenario under a seeded
-/// fault-injection plan (`fap sim`). A default [`ChaosPlan`] is
-/// fault-free, in which case the result is bit-identical to the ideal
-/// round executor.
+/// fault-injection plan (`fap sim`), recording the run's telemetry
+/// (`sim.*` fault counters, the round-latency histogram and the per-round
+/// event stream) into `recorder`. A default [`ChaosPlan`] is fault-free,
+/// in which case the result is bit-identical to the ideal round executor.
+/// All measurements are on virtual (round) time, so for a fixed scenario
+/// and plan the stream is byte-reproducible: two runs with the same seed
+/// serialize to identical JSONL.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError::Invalid`] if the scenario or the plan cannot
 /// be built, or the run gets stuck.
-pub fn chaos_sim(scenario: &Scenario, plan: ChaosPlan) -> Result<ChaosReport, ScenarioError> {
-    chaos_sim_observed(scenario, plan, &mut NoopRecorder)
-}
-
-/// Like [`chaos_sim`], recording the run's telemetry (`sim.*` fault
-/// counters, the round-latency histogram and the per-round event stream)
-/// into `recorder`. All measurements are on virtual (round) time, so for a
-/// fixed scenario and plan the stream is byte-reproducible: two runs with
-/// the same seed serialize to identical JSONL.
-///
-/// # Errors
-///
-/// Same conditions as [`chaos_sim`].
-pub fn chaos_sim_observed(
+pub fn chaos_sim(
     scenario: &Scenario,
     plan: ChaosPlan,
     recorder: &mut dyn Recorder,
@@ -177,7 +163,7 @@ pub fn chaos_sim_observed(
         .with_epsilon(scenario.epsilon)
         .with_max_rounds(1_000_000)
         .with_chaos(plan)
-        .run_observed(&initial, recorder)
+        .run(&initial, recorder)
         .map_err(|e| ScenarioError::Invalid(e.to_string()))
 }
 
@@ -187,12 +173,13 @@ pub fn chaos_sim_observed(
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError::Invalid`] for heterogeneous service rates or a
-/// bad candidate list.
+/// Returns [`ScenarioError::Invalid`] for an invalid workload (including
+/// one with no nodes), heterogeneous service rates or a bad candidate list.
 pub fn sweep_k(
     scenario: &Scenario,
     candidates: &[f64],
 ) -> Result<Vec<tuning::KSweepPoint>, ScenarioError> {
+    let pattern = scenario.pattern()?;
     let rates = scenario.service_rates();
     let mu = rates[0];
     if rates.iter().any(|m| (m - mu).abs() > 1e-12) {
@@ -201,8 +188,9 @@ pub fn sweep_k(
         ));
     }
     let graph = scenario.topology.build()?;
-    let costs = graph.shortest_path_matrix().map_err(net_error)?;
-    tuning::k_sweep(&costs, &scenario.pattern()?, mu, candidates)
+    let costs =
+        graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).map_err(net_error)?;
+    tuning::k_sweep(&costs, &pattern, mu, candidates)
         .map_err(|e| ScenarioError::Invalid(e.to_string()))
 }
 
@@ -212,13 +200,26 @@ mod tests {
 
     #[test]
     fn solving_the_example_reproduces_the_paper() {
-        let output = solve(&Scenario::example()).unwrap();
+        let output = solve(&Scenario::example(), &mut NoopRecorder).unwrap();
         assert!(output.converged);
         assert!((output.cost - 1.8).abs() < 1e-4);
         assert!(output.reference_gap < 1e-4);
         for x in &output.allocation {
             assert!((x - 0.25).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn sweep_k_rejects_a_zero_node_scenario() {
+        let scenario = Scenario::from_json(
+            r#"{"topology": {"type": "links", "n": 0, "links": []},
+                "lambdas": [], "mus": [], "k": 1.0}"#,
+        )
+        .unwrap();
+        let err = sweep_k(&scenario, &[1.0]).unwrap_err();
+        assert!(err.to_string().contains("no nodes"), "{err}");
+        let solve_err = solve(&scenario, &mut NoopRecorder).unwrap_err();
+        assert_eq!(err.to_string(), solve_err.to_string());
     }
 
     #[test]
@@ -245,9 +246,9 @@ mod tests {
     #[test]
     fn chaos_sim_without_faults_matches_solve() {
         let scenario = Scenario::example();
-        let report = chaos_sim(&scenario, ChaosPlan::new(0)).unwrap();
+        let report = chaos_sim(&scenario, ChaosPlan::new(0), &mut NoopRecorder).unwrap();
         assert!(report.converged);
-        let ideal = solve(&scenario).unwrap();
+        let ideal = solve(&scenario, &mut NoopRecorder).unwrap();
         assert!((report.final_cost() - ideal.cost).abs() < 1e-9);
         assert_eq!(report.faults.dropped, 0);
     }
@@ -259,7 +260,7 @@ mod tests {
             .with_drop(0.2)
             .with_staleness_bound(2)
             .with_retries(1);
-        let report = chaos_sim(&scenario, plan).unwrap();
+        let report = chaos_sim(&scenario, plan, &mut NoopRecorder).unwrap();
         assert!(report.converged);
         assert!(report.faults.dropped > 0);
     }
@@ -267,9 +268,9 @@ mod tests {
     #[test]
     fn observed_solve_matches_and_records_iterations() {
         let scenario = Scenario::example();
-        let plain = solve(&scenario).unwrap();
+        let plain = solve(&scenario, &mut NoopRecorder).unwrap();
         let mut telemetry = fap_obs::Telemetry::manual();
-        let observed = solve_observed(&scenario, &mut telemetry).unwrap();
+        let observed = solve(&scenario, &mut telemetry).unwrap();
         assert_eq!(plain, observed, "recording must not perturb the solve");
         assert_eq!(
             telemetry.registry().counter("econ.iterations"),
@@ -284,18 +285,16 @@ mod tests {
         let plan = ChaosPlan::new(11).with_drop(0.2).with_staleness_bound(2).with_retries(1);
         let record = |plan: ChaosPlan| {
             let mut telemetry = fap_obs::Telemetry::manual();
-            let report = chaos_sim_observed(&scenario, plan, &mut telemetry).unwrap();
+            let report = chaos_sim(&scenario, plan, &mut telemetry).unwrap();
             (report, telemetry.to_jsonl())
         };
         let (report_a, jsonl_a) = record(plan.clone());
-        let (report_b, jsonl_b) = record(plan);
+        let (report_b, jsonl_b) = record(plan.clone());
         assert_eq!(report_a, report_b);
         assert_eq!(jsonl_a, jsonl_b, "seeded sim telemetry must be byte-identical");
         assert!(jsonl_a.contains("\"counter\":\"sim.dropped\""));
         // The plain path is the observed path with a no-op recorder.
-        let plain =
-            chaos_sim(&scenario, ChaosPlan::new(11).with_drop(0.2).with_staleness_bound(2).with_retries(1))
-                .unwrap();
+        let plain = chaos_sim(&scenario, plan, &mut NoopRecorder).unwrap();
         assert_eq!(plain, report_a);
     }
 
@@ -322,9 +321,9 @@ mod tests {
         let mut scenario = base.clone();
         scenario.cost_backend =
             fap_cache::CostBackend::Landmark { landmarks: 4, seed: 1 };
-        let sparse = solve(&scenario).unwrap();
+        let sparse = solve(&scenario, &mut NoopRecorder).unwrap();
         assert!(sparse.converged);
-        let dense = solve(&base).unwrap();
+        let dense = solve(&base, &mut NoopRecorder).unwrap();
         let dense_problem = problem_of(&base).unwrap();
         let sparse_on_true = dense_problem.cost_of(&sparse.allocation).unwrap();
         assert!(
@@ -352,7 +351,7 @@ mod tests {
             sim_seed: 0,
             cost_backend: fap_cache::CostBackend::Dense,
         };
-        let err = solve(&scenario).unwrap_err().to_string();
+        let err = solve(&scenario, &mut NoopRecorder).unwrap_err().to_string();
         assert!(err.contains("--cost-backend landmark"), "{err}");
     }
 
@@ -366,7 +365,7 @@ mod tests {
             "alpha": 0.05
         }"#;
         let scenario = Scenario::from_json(json).unwrap();
-        let output = solve(&scenario).unwrap();
+        let output = solve(&scenario, &mut NoopRecorder).unwrap();
         assert!(output.converged);
         assert!(output.allocation[0] > output.allocation[1], "fast hub should hold more");
     }

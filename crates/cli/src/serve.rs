@@ -13,7 +13,7 @@ use fap_batch::Parallelism;
 use fap_cache::{CostBackend, SubstrateCache};
 use fap_core::MultiFileProblem;
 use fap_net::AccessPattern;
-use fap_obs::Recorder;
+use fap_obs::{NoopRecorder, Recorder};
 use fap_ring::VirtualRing;
 use fap_serve::{BatchServer, ServeOutput, ServeRequest};
 
@@ -178,8 +178,9 @@ impl ServeSpec {
                 let graph = topology.build()?;
                 match cost_backend {
                     CostBackend::Dense => {
-                        let costs =
-                            graph.shortest_path_matrix().map_err(crate::run::net_error)?;
+                        let costs = graph
+                            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+                            .map_err(crate::run::net_error)?;
                         self.multi_file_request(&costs)
                     }
                     CostBackend::Landmark { landmarks, seed } => {
@@ -193,8 +194,9 @@ impl ServeSpec {
                 let graph = topology.build()?;
                 match cost_backend {
                     CostBackend::Dense => {
-                        let costs =
-                            graph.shortest_path_matrix().map_err(crate::run::net_error)?;
+                        let costs = graph
+                            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+                            .map_err(crate::run::net_error)?;
                         self.ring_request_from(&costs)
                     }
                     CostBackend::Landmark { landmarks, seed } => {
@@ -216,24 +218,12 @@ impl ServeSpec {
     /// therefore the responses — are bit-identical to the uncached path,
     /// because a cached substrate is the same bits a rebuild would produce.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`to_request`](Self::to_request).
-    pub fn to_request_cached(
-        &self,
-        cache: &mut SubstrateCache,
-        recorder: &mut dyn Recorder,
-    ) -> Result<ServeRequest, ScenarioError> {
-        self.to_request_cached_with(cache, false, recorder)
-    }
-
-    /// [`to_request_cached`](Self::to_request_cached) with the cache's
-    /// incremental oracle path switchable (`--oracle-update`): when on,
-    /// landmark substrates go through
-    /// [`SubstrateCache::get_or_update_observed`], so a cached oracle
-    /// survives a small topology edit (edge re-price, node join/leave)
-    /// as a dirty-frontier repair instead of a cold rebuild — which is
-    /// what keeps a `WarmMode::Session` daemon warm across drift.
+    /// `oracle_update` switches the cache's incremental oracle path
+    /// (`--oracle-update`): when on, landmark substrates go through
+    /// [`SubstrateCache::get_or_update`], so a cached oracle survives a
+    /// small topology edit (edge re-price, node join/leave) as a
+    /// dirty-frontier repair instead of a cold rebuild — which is what
+    /// keeps a `WarmMode::Session` daemon warm across drift.
     ///
     /// # Errors
     ///
@@ -254,9 +244,9 @@ impl ServeSpec {
         };
         let graph = topology.build()?;
         let costs = if oracle_update {
-            cache.get_or_update_observed(&graph, backend, Parallelism::Sequential, recorder)
+            cache.get_or_update(&graph, backend, Parallelism::Sequential, recorder)
         } else {
-            cache.get_or_build_observed(&graph, backend, Parallelism::Sequential, recorder)
+            cache.get_or_build(&graph, backend, Parallelism::Sequential, recorder)
         }
         .map_err(crate::run::net_error)?;
         match self {
@@ -427,38 +417,12 @@ pub fn example_specs_json() -> String {
 /// — or `cache.landmark_*` for sparse backends — in `recorder`); the
 /// responses are bit-identical to building every substrate from scratch.
 ///
-/// # Errors
-///
-/// Returns [`ScenarioError::Invalid`] if any spec cannot be built (solver
-/// failures on well-formed specs are reported per-request in the output
-/// instead).
-pub fn serve_specs(
-    specs: &[ServeSpec],
-    shards: Parallelism,
-    recorder: &mut dyn Recorder,
-) -> Result<ServeOutput, ScenarioError> {
-    serve_specs_with(specs, shards, false, recorder)
-}
-
-/// [`serve_specs`] with the server's warm-start chaining switchable
+/// `warm_start` switches the server's warm-start chaining
 /// (`fap serve --warm-start`): requests of the same family, shape and
 /// solver parameters seed each other's solves. Warm responses can differ
 /// in their iteration counts (that is the point) but reach the same
-/// optima; cold mode is bit-identical to [`serve_specs`].
-///
-/// # Errors
-///
-/// Same conditions as [`serve_specs`].
-pub fn serve_specs_with(
-    specs: &[ServeSpec],
-    shards: Parallelism,
-    warm_start: bool,
-    recorder: &mut dyn Recorder,
-) -> Result<ServeOutput, ScenarioError> {
-    serve_specs_configured(specs, shards, warm_start, false, recorder)
-}
-
-/// [`serve_specs_with`] plus the cache's incremental oracle path
+/// optima; cold mode is bit-identical to solving every spec alone.
+/// `oracle_update` switches the cache's incremental oracle path
 /// (`fap serve --oracle-update`): successive specs whose topologies
 /// differ by a small edit (edge re-price, node join/leave) repair the
 /// cached landmark oracle in place instead of rebuilding it, visible as
@@ -466,8 +430,10 @@ pub fn serve_specs_with(
 ///
 /// # Errors
 ///
-/// Same conditions as [`serve_specs`].
-pub fn serve_specs_configured(
+/// Returns [`ScenarioError::Invalid`] if any spec cannot be built (solver
+/// failures on well-formed specs are reported per-request in the output
+/// instead).
+pub fn serve_specs(
     specs: &[ServeSpec],
     shards: Parallelism,
     warm_start: bool,
@@ -530,7 +496,7 @@ mod tests {
         let specs = specs_from_json(&json).unwrap();
         assert_eq!(specs, example_specs());
         let output =
-            serve_specs(&specs, Parallelism::Fixed(2), &mut fap_obs::NoopRecorder).unwrap();
+            serve_specs(&specs, Parallelism::Fixed(2), false, false, &mut NoopRecorder).unwrap();
         assert_eq!(output.ok_count(), 3);
         assert_eq!(output.aggregate.counter("serve.requests"), 3);
         let rendered = render_output(&specs, &output);
@@ -544,10 +510,10 @@ mod tests {
         let mut specs = example_specs();
         specs.extend(example_specs());
         let sequential =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder).unwrap();
         for shards in [2, 8] {
             let sharded =
-                serve_specs(&specs, Parallelism::Fixed(shards), &mut fap_obs::NoopRecorder)
+                serve_specs(&specs, Parallelism::Fixed(shards), false, false, &mut NoopRecorder)
                     .unwrap();
             assert_eq!(sequential.responses, sharded.responses);
         }
@@ -556,10 +522,10 @@ mod tests {
     #[test]
     fn single_file_spec_matches_fap_solve() {
         let scenario = Scenario::example();
-        let solve = crate::run::solve(&scenario).unwrap();
+        let solve = crate::run::solve(&scenario, &mut NoopRecorder).unwrap();
         let specs = [ServeSpec::SingleFile { scenario }];
         let output =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder).unwrap();
         match output.responses[0].as_ref().unwrap() {
             fap_serve::ServeResponse::SingleFile(s) => {
                 assert_eq!(s.allocation, solve.allocation);
@@ -575,7 +541,7 @@ mod tests {
         if let ServeSpec::Ring { link_costs, .. } = &mut specs[2] {
             link_costs.truncate(2); // a ring needs ≥ 3 links
         }
-        let err = serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder)
+        let err = serve_specs(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder)
             .unwrap_err();
         assert!(err.to_string().contains("request 2"), "{err}");
     }
@@ -594,7 +560,8 @@ mod tests {
         specs.extend(example_specs());
         specs.extend(example_specs());
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.miss"), 1, "one distinct topology");
@@ -608,9 +575,10 @@ mod tests {
         specs.extend(example_specs());
         let direct: Vec<ServeRequest> =
             specs.iter().map(|s| s.to_request().unwrap()).collect();
-        let uncached = BatchServer::new(Parallelism::Sequential).serve(&direct);
+        let uncached =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&direct, &mut NoopRecorder);
         let cached =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder).unwrap();
         assert_eq!(uncached.responses, cached.responses);
     }
 
@@ -624,7 +592,8 @@ mod tests {
             ServeSpec::SingleFile { scenario: Scenario::example() },
         ];
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.landmark_miss"), 1, "one oracle build");
@@ -659,7 +628,8 @@ mod tests {
         );
         let specs = vec![base.clone(), sparse];
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         assert_eq!(telemetry.registry().counter("cache.miss"), 1, "dense ring substrate");
         assert_eq!(telemetry.registry().counter("cache.landmark_miss"), 1, "sparse one");
@@ -667,7 +637,7 @@ mod tests {
         let direct = base.to_request().unwrap();
         let mut cache = SubstrateCache::new();
         let cached =
-            base.to_request_cached(&mut cache, &mut fap_obs::NoopRecorder).unwrap();
+            base.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap();
         match (&direct, &cached) {
             (ServeRequest::Ring { ring: a, .. }, ServeRequest::Ring { ring: b, .. }) => {
                 assert_eq!(a, b);
@@ -708,12 +678,13 @@ mod tests {
             .map(|_| ServeSpec::SingleFile { scenario: Scenario::example() })
             .collect();
         let cold =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
-        let warm = serve_specs_with(
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder).unwrap();
+        let warm = serve_specs(
             &specs,
             Parallelism::Sequential,
             true,
-            &mut fap_obs::NoopRecorder,
+            false,
+            &mut NoopRecorder,
         )
         .unwrap();
         assert_eq!(warm.err_count(), 0);
@@ -727,11 +698,12 @@ mod tests {
             assert!(w.iterations() <= c.iterations());
         }
         // And warm sharded serving still matches warm sequential.
-        let warm_sharded = serve_specs_with(
+        let warm_sharded = serve_specs(
             &specs,
             Parallelism::Fixed(4),
             true,
-            &mut fap_obs::NoopRecorder,
+            false,
+            &mut NoopRecorder,
         )
         .unwrap();
         assert_eq!(warm.responses, warm_sharded.responses);

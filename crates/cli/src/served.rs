@@ -35,16 +35,12 @@ use crate::track::drift_command_line;
 /// The CLI's batch parser: an envelope's `batch` field is a JSON array of
 /// [`ServeSpec`]s, resolved through the daemon's persistent substrate
 /// cache (hits and misses land in the session's `cache.*` metrics).
-pub fn spec_parser() -> impl BatchParser {
-    spec_parser_with(false)
-}
-
-/// [`spec_parser`] with the incremental oracle path switchable
-/// (`--oracle-update`): when on, landmark substrates resolve through
-/// [`SubstrateCache::get_or_update_observed`], so a cached oracle
-/// survives a small topology edit between batches as a dirty-frontier
-/// repair instead of a cold rebuild.
-pub fn spec_parser_with(oracle_update: bool) -> impl BatchParser {
+///
+/// `oracle_update` (`--oracle-update`) routes landmark substrates through
+/// [`SubstrateCache::get_or_update`], so a cached oracle survives a small
+/// topology edit between batches as a dirty-frontier repair instead of a
+/// cold rebuild.
+pub fn spec_parser(oracle_update: bool) -> impl BatchParser {
     move |batch: &Value, cache: &mut SubstrateCache, recorder: &mut dyn Recorder| {
         let specs = Vec::<ServeSpec>::deserialize_value(batch)
             .map_err(|e| format!("bad batch: {e}"))?;
@@ -68,7 +64,7 @@ pub fn spec_parser_with(oracle_update: bool) -> impl BatchParser {
 ///
 /// Returns a message for an invalid configuration (zero servers).
 pub fn spec_daemon(config: &DaemonConfig) -> Result<Daemon<impl BatchParser>, String> {
-    Daemon::new(spec_parser_with(config.oracle_update), config).map_err(|e| e.to_string())
+    Daemon::new(spec_parser(config.oracle_update), config).map_err(|e| e.to_string())
 }
 
 /// Runs a whole daemon session over any line source and sink (`fap served`
@@ -200,10 +196,11 @@ mod tests {
         // `fap served` in the default (batch) warm mode must embed exactly
         // the responses one-shot `fap serve --warm-start` produces.
         let specs = crate::serve::example_specs();
-        let oneshot = crate::serve::serve_specs_with(
+        let oneshot = crate::serve::serve_specs(
             &specs,
             Parallelism::Auto,
             true,
+            false,
             &mut NoopRecorder,
         )
         .unwrap();

@@ -13,8 +13,10 @@
 //! iteration produces a feasible, better allocation, an epoch may be stopped
 //! after any budget of iterations and the intermediate allocation deployed.
 
+use fap_batch::Parallelism;
 use fap_econ::{ResourceDirectedOptimizer, Solution, StepSize};
 use fap_net::{AccessPattern, CostMatrix, Graph};
+use fap_obs::NoopRecorder;
 
 use crate::error::CoreError;
 use crate::single::SingleFileProblem;
@@ -72,7 +74,7 @@ impl AdaptiveAllocator {
             return Err(CoreError::InvalidParameter(format!("k {k}")));
         }
         step.validate()?;
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         let n = costs.node_count();
         Ok(AdaptiveAllocator {
             costs,
@@ -129,7 +131,7 @@ impl AdaptiveAllocator {
         let solution = ResourceDirectedOptimizer::new(self.step.clone())
             .with_epsilon(self.epsilon)
             .with_max_iterations(iteration_budget)
-            .run(&problem, &self.allocation)?;
+            .run(&problem, &self.allocation, &mut NoopRecorder)?;
         self.allocation.clone_from(&solution.allocation);
         self.epochs += 1;
         Ok(solution)

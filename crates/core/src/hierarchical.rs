@@ -80,7 +80,7 @@ use crate::single::SingleFileProblem;
 /// the solve has levels to spend.
 const LEAF_MAX: usize = 256;
 
-/// Tuning knobs for [`solve_hierarchical`].
+/// Tuning knobs for [`solve_hierarchical_multilevel`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchicalConfig {
     /// Upper clamp on the dynamic step of the aggregate and per-cluster
@@ -193,95 +193,6 @@ pub fn capped_clusters(oracle: &LandmarkOracle) -> Vec<Vec<NodeId>> {
     clusters
 }
 
-/// Solves the single-file problem hierarchically on `oracle`.
-///
-/// Equivalent to [`solve_hierarchical_observed`] with a [`NoopRecorder`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_hierarchical_observed`].
-pub fn solve_hierarchical(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_observed(oracle, pattern, mus, k, config, &mut NoopRecorder)
-}
-
-/// Solves the single-file problem hierarchically, recording the
-/// `hier.refine_rounds` counter (one increment per refinement round) and
-/// the oracle's row-cache counters into `recorder`.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameter`] for mismatched dimensions or
-/// invalid config values, [`CoreError::InsufficientCapacity`] when
-/// `Σ μ_i ≤ λ`, and any solver error from the aggregate or per-cluster
-/// stages.
-pub fn solve_hierarchical_observed(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_impl(oracle, pattern, mus, k, config, 1, recorder)
-}
-
-/// Solves the single-file problem on a multi-level cluster tree.
-///
-/// `levels` bounds the depth of the tree: `1` is exactly the flat
-/// [`solve_hierarchical`] pipeline (bit-identical output), while deeper
-/// settings let any cluster larger than ~256 members split recursively
-/// into near-even chunks of its members sorted by distance to the
-/// cluster's landmark, each chunk solved through the same
-/// aggregate/inner/refine pass. Use more levels when the substrate byte
-/// ceiling forces `K` far below `N / 256` — at `N = 10⁶` with `K ≈ 10²`,
-/// `levels = 3` keeps every inner solve a few hundred variables wide.
-///
-/// Equivalent to [`solve_hierarchical_multilevel_observed`] with a
-/// [`NoopRecorder`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_hierarchical_observed`], plus
-/// [`CoreError::InvalidParameter`] when `levels` is zero.
-pub fn solve_hierarchical_multilevel(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-    levels: usize,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_multilevel_observed(oracle, pattern, mus, k, config, levels, &mut NoopRecorder)
-}
-
-/// Observed variant of [`solve_hierarchical_multilevel`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_hierarchical_multilevel`].
-pub fn solve_hierarchical_multilevel_observed(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-    levels: usize,
-    recorder: &mut dyn Recorder,
-) -> Result<HierarchicalSolution, CoreError> {
-    if levels == 0 {
-        return Err(CoreError::InvalidParameter(
-            "hierarchy depth must be at least 1 level".into(),
-        ));
-    }
-    solve_hierarchical_impl(oracle, pattern, mus, k, config, levels, recorder)
-}
-
 /// What every inner solve of one hierarchical solve reads: shared, never
 /// written, across the fan-out's workers.
 struct Inner<'a> {
@@ -309,7 +220,46 @@ impl Inner<'_> {
     }
 }
 
-fn solve_hierarchical_impl(
+/// Solves the single-file problem hierarchically on `oracle`, over a
+/// multi-level cluster tree.
+///
+/// `levels` bounds the depth of the tree: `1` is the flat
+/// cluster-solve-refine pipeline, while deeper settings let any cluster
+/// larger than ~256 members split recursively into near-even chunks of
+/// its members sorted by distance to the cluster's landmark, each chunk
+/// solved through the same aggregate/inner/refine pass. Use more levels
+/// when the substrate byte ceiling forces `K` far below `N / 256` — at
+/// `N = 10⁶` with `K ≈ 10²`, `levels = 3` keeps every inner solve a few
+/// hundred variables wide.
+///
+/// Equivalent to [`solve_hierarchical_multilevel_observed`] with a
+/// [`NoopRecorder`].
+///
+/// # Errors
+///
+/// Same conditions as [`solve_hierarchical_multilevel_observed`].
+pub fn solve_hierarchical_multilevel(
+    oracle: &LandmarkOracle,
+    pattern: &AccessPattern,
+    mus: &[f64],
+    k: f64,
+    config: &HierarchicalConfig,
+    levels: usize,
+) -> Result<HierarchicalSolution, CoreError> {
+    solve_hierarchical_multilevel_observed(oracle, pattern, mus, k, config, levels, &mut NoopRecorder)
+}
+
+/// [`solve_hierarchical_multilevel`], recording the `hier.refine_rounds`
+/// counter (one increment per refinement round), the stage spans and the
+/// oracle's row-cache counters into `recorder`.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidParameter`] for mismatched dimensions,
+/// invalid config values or zero `levels`,
+/// [`CoreError::InsufficientCapacity`] when `Σ μ_i ≤ λ`, and any solver
+/// error from the aggregate or per-cluster stages.
+pub fn solve_hierarchical_multilevel_observed(
     oracle: &LandmarkOracle,
     pattern: &AccessPattern,
     mus: &[f64],
@@ -318,6 +268,11 @@ fn solve_hierarchical_impl(
     levels: usize,
     recorder: &mut dyn Recorder,
 ) -> Result<HierarchicalSolution, CoreError> {
+    if levels == 0 {
+        return Err(CoreError::InvalidParameter(
+            "hierarchy depth must be at least 1 level".into(),
+        ));
+    }
     let n = oracle.node_count();
     if pattern.node_count() != n || mus.len() != n {
         return Err(CoreError::InvalidParameter(format!(
@@ -412,7 +367,7 @@ fn solve_hierarchical_impl(
     )?;
     let total_mu: f64 = pooled_mu.iter().sum();
     let y0: Vec<f64> = pooled_mu.iter().map(|&mu_a| mu_a / total_mu).collect();
-    let agg_solution = solver.run_with_scratch(&aggregate, &y0, &mut scratch)?;
+    let agg_solution = solver.run_with_scratch(&aggregate, &y0, &mut scratch, &mut NoopRecorder)?;
     let aggregate_iterations = agg_solution.iterations;
     if let Some(root) = root_ctx {
         let id = recorder.reserve_span_ids(1);
@@ -691,7 +646,7 @@ fn solve_leaf(
     if warm {
         scratch.start_from(z);
     }
-    let solution = inner.solver.run_with_scratch(&problem, z, scratch)?;
+    let solution = inner.solver.run_with_scratch(&problem, z, scratch, &mut NoopRecorder)?;
     runs.push(solution.iterations);
     *z = solution.allocation;
     Ok(())
@@ -780,7 +735,7 @@ fn solve_member_tree(
     if warm {
         scratch.start_from(&shares);
     }
-    let agg = inner.solver.run_with_scratch(&aggregate, &shares, scratch)?;
+    let agg = inner.solver.run_with_scratch(&aggregate, &shares, scratch, &mut NoopRecorder)?;
     runs.push(agg.iterations);
     shares = agg.allocation;
     clamp_to_caps(&mut shares, &caps);
@@ -997,11 +952,11 @@ mod tests {
     fn allocation_is_feasible_and_deterministic() {
         let (oracle, pattern, mus) = mesh_setup(36, 5);
         let cfg = HierarchicalConfig::default();
-        let a = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let a = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
         let total: f64 = a.allocation.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "sums to {total}");
         assert!(a.allocation.iter().all(|&x| x >= 0.0));
-        let b = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let b = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
         for (p, q) in a.allocation.iter().zip(&b.allocation) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
@@ -1012,19 +967,20 @@ mod tests {
         let (oracle, pattern, mus) = mesh_setup(30, 9);
         let no_refine =
             HierarchicalConfig { max_refine_rounds: 0, ..HierarchicalConfig::default() };
-        let base = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &no_refine).unwrap();
+        let base =
+            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &no_refine, 1).unwrap();
+        let cfg = HierarchicalConfig::default();
         let refined =
-            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &HierarchicalConfig::default())
-                .unwrap();
+            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
         assert!(refined.estimated_cost <= base.estimated_cost + 1e-12);
     }
 
     #[test]
     fn close_to_exact_on_a_small_mesh() {
         let (oracle, pattern, mus) = mesh_setup(24, 3);
+        let cfg = HierarchicalConfig::default();
         let refined =
-            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &HierarchicalConfig::default())
-                .unwrap();
+            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
         // Exact optimum of the *estimated* problem bounds what the
         // hierarchical pipeline can achieve on it.
         let est = SingleFileProblem::from_parts(
@@ -1048,8 +1004,8 @@ mod tests {
         let (oracle, pattern, mus) = mesh_setup(30, 7);
         let mut registry = fap_obs::MetricsRegistry::new();
         let cfg = HierarchicalConfig { epsilon: 1e-12, ..HierarchicalConfig::default() };
-        let sol = solve_hierarchical_observed(
-            &oracle, &pattern, &mus, 1.0, &cfg, &mut registry,
+        let sol = solve_hierarchical_multilevel_observed(
+            &oracle, &pattern, &mus, 1.0, &cfg, 1, &mut registry,
         )
         .unwrap();
         assert_eq!(registry.counter("hier.refine_rounds"), sol.refine_rounds as u64);
@@ -1062,7 +1018,7 @@ mod tests {
         let cfg = HierarchicalConfig { epsilon: 1e-12, ..HierarchicalConfig::default() };
         let mut fr = fap_obs::FlightRecorder::default();
         let sol =
-            solve_hierarchical_observed(&oracle, &pattern, &mus, 1.0, &cfg, &mut fr)
+            solve_hierarchical_multilevel_observed(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut fr)
                 .unwrap();
         assert_eq!(fr.completed_traces(), 1);
         let root = *fr.recent().next().unwrap();
@@ -1081,21 +1037,9 @@ mod tests {
         assert_eq!(fr.layer_self_time("net"), 0, "access costs are zero-width");
         assert_eq!(fr.dropped_spans(), 0);
         // Tracing never perturbs the solution.
-        let untraced = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
-        assert_eq!(sol, untraced);
-    }
-
-    #[test]
-    fn multilevel_depth_one_is_bit_identical_to_flat() {
-        let (oracle, pattern, mus) = mesh_setup(40, 13);
-        let cfg = HierarchicalConfig::default();
-        let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
-        let deep =
+        let untraced =
             solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
-        assert_eq!(flat, deep);
-        for (p, q) in flat.allocation.iter().zip(&deep.allocation) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_eq!(sol, untraced);
     }
 
     #[test]
@@ -1141,7 +1085,8 @@ mod tests {
         }
         // The tree is an approximation of the flat solve, not a free
         // lunch — but it must stay in the same cost neighbourhood.
-        let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let flat =
+            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
         assert!(
             deep.estimated_cost <= flat.estimated_cost * 1.25 + 1e-9,
             "tree {} vs flat {}",
@@ -1220,7 +1165,9 @@ mod tests {
         let (oracle, _pattern, mus) = mesh_setup(20, 2);
         let short = AccessPattern::uniform(10, 1.0).unwrap();
         assert!(matches!(
-            solve_hierarchical(&oracle, &short, &mus, 1.0, &HierarchicalConfig::default()),
+            solve_hierarchical_multilevel(
+                &oracle, &short, &mus, 1.0, &HierarchicalConfig::default(), 1,
+            ),
             Err(CoreError::InvalidParameter(_))
         ));
     }

@@ -186,7 +186,7 @@ impl MultiFileProblem {
         mus: &[f64],
         k: f64,
     ) -> Result<Self, CoreError> {
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         Self::mm1_heterogeneous_with_costs(&costs, patterns, mus, k)
     }
 
@@ -360,6 +360,22 @@ impl MultiFileProblem {
     /// allocation using the coupled gradients, until every file's marginal
     /// spread is below `epsilon`.
     ///
+    /// The per-node delay pass and the per-file gradient+step pass fan out
+    /// over scoped threads. The result is bit-identical for every
+    /// [`Parallelism`] setting: workers own disjoint contiguous chunks,
+    /// every floating-point reduction happens sequentially in index order
+    /// after the workers join, and an over-capacity error is always
+    /// reported for the lowest-indexed node.
+    ///
+    /// `recorder` receives the `core.node_threads` / `core.file_threads`
+    /// fan-out gauges, per-chunk wall timings in the `core.node_chunk_ns` /
+    /// `core.file_chunk_ns` histograms, the `core.iterations` counter, one
+    /// `core.iter` event per iteration (cost and marginal spread) and a
+    /// final `core.run_end` event. Virtual time is set to the iteration
+    /// count. Wall-clock timings are only measured when
+    /// `recorder.is_enabled()`, and the solution is bit-identical with any
+    /// recorder.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for bad `alpha`/`epsilon` or
@@ -371,6 +387,8 @@ impl MultiFileProblem {
         alpha: f64,
         epsilon: f64,
         max_iterations: usize,
+        parallelism: Parallelism,
+        recorder: &mut dyn Recorder,
     ) -> Result<MultiFileSolution, CoreError> {
         let mut scratch = MultiFileScratch::new();
         self.solve_with_scratch(
@@ -378,78 +396,22 @@ impl MultiFileProblem {
             alpha,
             epsilon,
             max_iterations,
-            Parallelism::Sequential,
-            &mut scratch,
-        )
-    }
-
-    /// Like [`MultiFileProblem::solve`], fanning the per-node delay pass and
-    /// the per-file gradient+step pass out over scoped threads. Bit-identical
-    /// to the sequential solve for every [`Parallelism`] setting: workers own
-    /// disjoint contiguous chunks, every floating-point reduction happens
-    /// sequentially in index order after the workers join, and an
-    /// over-capacity error is always reported for the lowest-indexed node.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiFileProblem::solve`].
-    pub fn solve_parallel(
-        &self,
-        initial: &[Vec<f64>],
-        alpha: f64,
-        epsilon: f64,
-        max_iterations: usize,
-        parallelism: Parallelism,
-    ) -> Result<MultiFileSolution, CoreError> {
-        let mut scratch = MultiFileScratch::new();
-        self.solve_with_scratch(initial, alpha, epsilon, max_iterations, parallelism, &mut scratch)
-    }
-
-    /// The full-control solver: explicit [`Parallelism`] and a caller-owned
-    /// [`MultiFileScratch`] reused across calls, so steady-state iterations
-    /// (and, with a warm scratch, whole repeat solves) perform no heap
-    /// allocations beyond the returned solution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiFileProblem::solve`].
-    pub fn solve_with_scratch(
-        &self,
-        initial: &[Vec<f64>],
-        alpha: f64,
-        epsilon: f64,
-        max_iterations: usize,
-        parallelism: Parallelism,
-        scratch: &mut MultiFileScratch,
-    ) -> Result<MultiFileSolution, CoreError> {
-        self.solve_observed(
-            initial,
-            alpha,
-            epsilon,
-            max_iterations,
             parallelism,
-            scratch,
-            &mut NoopRecorder,
+            &mut scratch,
+            recorder,
         )
     }
 
-    /// Like [`MultiFileProblem::solve_with_scratch`], recording telemetry
-    /// into `recorder`: the `core.node_threads` / `core.file_threads` fan-out
-    /// gauges, per-chunk wall timings in the `core.node_chunk_ns` /
-    /// `core.file_chunk_ns` histograms, the `core.iterations` counter, one
-    /// `core.iter` event per iteration (cost and marginal spread) and a final
-    /// `core.run_end` event. Virtual time is set to the iteration count.
-    ///
-    /// Wall-clock timings are only measured when `recorder.is_enabled()`, so
-    /// with a [`NoopRecorder`] this is exactly the unobserved solve: same
-    /// bits, same allocation behaviour. Recording does not perturb the
-    /// computation — the solution is bit-identical with any recorder.
+    /// [`MultiFileProblem::solve`] with a caller-owned [`MultiFileScratch`]
+    /// reused across calls, so steady-state iterations (and, with a warm
+    /// scratch, whole repeat solves) perform no heap allocations beyond the
+    /// returned solution.
     ///
     /// # Errors
     ///
     /// Same conditions as [`MultiFileProblem::solve`].
     #[allow(clippy::too_many_arguments)]
-    pub fn solve_observed(
+    pub fn solve_with_scratch(
         &self,
         initial: &[Vec<f64>],
         alpha: f64,
@@ -868,7 +830,8 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 0.0, 1.0]];
-        let s = m.solve(&initial, 0.1, 1e-6, 50_000).unwrap();
+        let s = m.solve(&initial, 0.1, 1e-6, 50_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         assert!(s.converged);
         let loads = m.node_loads(&s.allocations).unwrap();
         for l in &loads {
@@ -887,7 +850,8 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.7).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.0, 5.0).unwrap();
         let initial = vec![vec![0.7, 0.3, 0.0, 0.0], vec![0.6, 0.0, 0.4, 0.0]];
-        let s = m.solve(&initial, 0.02, 1e-6, 100_000).unwrap();
+        let s = m.solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         assert!(s.converged);
         let loads = m.node_loads(&s.allocations).unwrap();
         let avg: f64 = loads.iter().sum::<f64>() / 4.0;
@@ -903,7 +867,8 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]];
-        let s = m.solve(&initial, 0.02, 1e-6, 100_000).unwrap();
+        let s = m.solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         assert!(s.converged);
         for w in s.cost_series.windows(2) {
             assert!(w[1] <= w[0] + 1e-10, "cost rose: {} -> {}", w[0], w[1]);
@@ -916,7 +881,8 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
-        let s = m.solve(&initial, 0.1, 1e-5, 10_000).unwrap();
+        let s = m.solve(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         for xj in &s.allocations {
             assert!((xj.iter().sum::<f64>() - 1.0).abs() < 1e-7);
             assert!(xj.iter().all(|v| *v >= -1e-9));
@@ -930,10 +896,11 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let seq = m.solve(&initial, 0.05, 1e-6, 2_000).unwrap();
+        let seq = m.solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         for threads in [1usize, 2, 3, 8] {
             let par = m
-                .solve_parallel(&initial, 0.05, 1e-6, 2_000, Parallelism::Fixed(threads))
+                .solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Fixed(threads), &mut NoopRecorder)
                 .unwrap();
             assert_eq!(seq, par, "threads = {threads}");
         }
@@ -945,14 +912,25 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
-        let fresh = m.solve(&initial, 0.1, 1e-5, 10_000).unwrap();
+        let fresh = m.solve(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
         let mut scratch = MultiFileScratch::new();
         // Warm the scratch on a different start, then repeat the original.
         let other = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]];
-        m.solve_with_scratch(&other, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut scratch)
+        m.solve_with_scratch(
+            &other, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut scratch, &mut NoopRecorder,
+        )
             .unwrap();
         let reused = m
-            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut scratch)
+            .solve_with_scratch(
+                &initial,
+                0.1,
+                1e-5,
+                10_000,
+                Parallelism::Sequential,
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(fresh, reused);
     }
@@ -960,7 +938,7 @@ mod tests {
     #[test]
     fn constructor_with_costs_is_bit_identical_to_graph_constructor() {
         let graph = ring4();
-        let costs = graph.shortest_path_matrix().unwrap();
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let pa = AccessPattern::uniform(4, 0.5).unwrap();
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let patterns = [pa, pb];
@@ -981,12 +959,28 @@ mod tests {
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
         let mut scratch = MultiFileScratch::new();
         let cold = m
-            .solve_with_scratch(&initial, 0.05, 1e-6, 50_000, Parallelism::Sequential, &mut scratch)
+            .solve_with_scratch(
+                &initial,
+                0.05,
+                1e-6,
+                50_000,
+                Parallelism::Sequential,
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert!(cold.converged && cold.iterations > 5);
         scratch.start_from(&cold.allocations);
         let warm = m
-            .solve_with_scratch(&initial, 0.05, 1e-6, 50_000, Parallelism::Sequential, &mut scratch)
+            .solve_with_scratch(
+                &initial,
+                0.05,
+                1e-6,
+                50_000,
+                Parallelism::Sequential,
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 1, "seeded at the optimum: {}", warm.iterations);
@@ -1002,12 +996,28 @@ mod tests {
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
         let mut scratch = MultiFileScratch::new();
         let cold = m
-            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut scratch)
+            .solve_with_scratch(
+                &initial,
+                0.1,
+                1e-5,
+                10_000,
+                Parallelism::Sequential,
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         // Wrong shape (3 nodes): ignored, bit-identical to the cold solve.
         scratch.start_from(&[vec![0.5, 0.3, 0.2], vec![0.2, 0.3, 0.5]]);
         let fallback = m
-            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut scratch)
+            .solve_with_scratch(
+                &initial,
+                0.1,
+                1e-5,
+                10_000,
+                Parallelism::Sequential,
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(cold, fallback);
         assert!(!scratch.has_warm_start());
@@ -1021,10 +1031,11 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 0.26, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]];
-        let seq = m.solve(&initial, 0.05, 1e-6, 100).unwrap_err();
+        let seq = m.solve(&initial, 0.05, 1e-6, 100, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap_err();
         for threads in [2usize, 3, 8] {
             let par = m
-                .solve_parallel(&initial, 0.05, 1e-6, 100, Parallelism::Fixed(threads))
+                .solve(&initial, 0.05, 1e-6, 100, Parallelism::Fixed(threads), &mut NoopRecorder)
                 .unwrap_err();
             assert_eq!(format!("{seq:?}"), format!("{par:?}"), "threads = {threads}");
         }
@@ -1037,12 +1048,13 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let plain = m.solve(&initial, 0.05, 1e-6, 2_000).unwrap();
+        let plain = m.solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
 
         let mut tele = fap_obs::Telemetry::manual();
         let mut scratch = MultiFileScratch::new();
         let observed = m
-            .solve_observed(
+            .solve_with_scratch(
                 &initial,
                 0.05,
                 1e-6,
@@ -1074,12 +1086,13 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let seq = m.solve(&initial, 0.05, 1e-6, 2_000).unwrap();
+        let seq = m.solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
 
         let mut tele = fap_obs::Telemetry::manual();
         let mut scratch = MultiFileScratch::new();
         let observed = m
-            .solve_observed(
+            .solve_with_scratch(
                 &initial,
                 0.05,
                 1e-6,
@@ -1102,9 +1115,15 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p], 1.5, 1.0).unwrap();
         let good = vec![vec![0.25; 4]];
-        assert!(m.solve(&good, 0.0, 1e-6, 100).is_err());
-        assert!(m.solve(&good, 0.1, 0.0, 100).is_err());
-        assert!(m.solve(&[vec![0.5; 4]], 0.1, 1e-6, 100).is_err()); // sums to 2
-        assert!(m.solve(&[vec![0.25; 3]], 0.1, 1e-6, 100).is_err()); // wrong shape
+        assert!(m.solve(
+            &good, 0.0, 1e-6, 100, Parallelism::Sequential, &mut NoopRecorder,
+        ).is_err());
+        assert!(m.solve(&good, 0.1, 0.0, 100, Parallelism::Sequential, &mut NoopRecorder).is_err());
+        assert!(m.solve(
+            &[vec![0.5; 4]], 0.1, 1e-6, 100, Parallelism::Sequential, &mut NoopRecorder,
+        ).is_err()); // sums to 2
+        assert!(m.solve(
+            &[vec![0.25; 3]], 0.1, 1e-6, 100, Parallelism::Sequential, &mut NoopRecorder,
+        ).is_err()); // wrong shape
     }
 }

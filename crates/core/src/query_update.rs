@@ -12,7 +12,9 @@
 //! `C_i = w_q·(λ_q/λ)·C_i^q + w_u·(λ_u/λ)·C_i^u` with `λ = λ_q + λ_u`
 //! the total queueing load.
 
+use fap_batch::Parallelism;
 use fap_net::{AccessPattern, CostMatrix, Graph};
+use fap_obs::NoopRecorder;
 use fap_queue::Mm1Delay;
 
 use crate::error::CoreError;
@@ -80,7 +82,7 @@ impl QueryUpdateModel {
         mu: f64,
         k: f64,
     ) -> Result<SingleFileProblem<Mm1Delay>, CoreError> {
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         self.build_with_costs(&costs, mu, k)
     }
 

@@ -17,9 +17,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use fap_batch::Parallelism;
 use fap_econ::problem::check_dimension;
 use fap_econ::{AllocationProblem, EconError};
 use fap_net::{AccessPattern, CostMatrix, CostProvider, Graph};
+use fap_obs::NoopRecorder;
 use fap_queue::{DelayModel, Mg1Delay, Mm1Delay};
 
 use crate::error::CoreError;
@@ -60,7 +62,7 @@ impl SingleFileProblem<Mm1Delay> {
         mu: f64,
         k: f64,
     ) -> Result<Self, CoreError> {
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         Self::mm1_with_costs(&costs, pattern, mu, k)
     }
 
@@ -117,7 +119,7 @@ impl SingleFileProblem<Mm1Delay> {
         mus: &[f64],
         k: f64,
     ) -> Result<Self, CoreError> {
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         Self::mm1_heterogeneous_with_costs(&costs, pattern, mus, k)
     }
 
@@ -176,7 +178,7 @@ impl SingleFileProblem<Mg1Delay> {
         scv: f64,
         k: f64,
     ) -> Result<Self, CoreError> {
-        let costs = graph.shortest_path_matrix()?;
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         let delay = Mg1Delay::new(mu, scv)?;
         Self::from_parts(
             costs.systemwide_access_costs(pattern),
@@ -495,7 +497,7 @@ mod tests {
         let p = paper_problem();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
             .with_epsilon(1e-6)
-            .run(&p, &[0.8, 0.1, 0.1, 0.0])
+            .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         for x in &s.allocation {
@@ -541,7 +543,7 @@ mod tests {
             SingleFileProblem::mm1_heterogeneous(&graph, &pattern, &[5.0, 1.2, 1.2], 1.0).unwrap();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
-            .run(&p, &[1.0 / 3.0; 3])
+            .run(&p, &[1.0 / 3.0; 3], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!(
@@ -561,7 +563,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
             .with_max_iterations(100_000)
-            .run(&p, &[0.25; 4])
+            .run(&p, &[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(s.allocation[0] > 0.99, "{:?}", s.allocation);
     }
@@ -577,7 +579,7 @@ mod tests {
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.02))
                 .with_epsilon(1e-8)
                 .with_max_iterations(100_000)
-                .run(&p, &[0.25; 4])
+                .run(&p, &[0.25; 4], &mut NoopRecorder)
                 .unwrap();
             let max = s.allocation.iter().copied().fold(f64::MIN, f64::max);
             let min = s.allocation.iter().copied().fold(f64::MAX, f64::min);

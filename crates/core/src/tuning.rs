@@ -147,13 +147,16 @@ fn decompose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_batch::Parallelism;
     use fap_net::topology;
+    use fap_obs::NoopRecorder;
 
     /// An asymmetric network where communication argues for concentration
     /// at the hub and delay argues for spreading.
     fn star_setup() -> (CostMatrix, AccessPattern) {
         let graph = topology::star(5, 1.0).unwrap();
-        (graph.shortest_path_matrix().unwrap(), AccessPattern::uniform(5, 1.0).unwrap())
+        let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        (costs, AccessPattern::uniform(5, 1.0).unwrap())
     }
 
     #[test]

@@ -33,11 +33,12 @@
 //! ```
 //! use fap_econ::{problems::SeparableQuadratic, AllocationProblem,
 //!                ResourceDirectedOptimizer, StepSize};
+//! use fap_obs::NoopRecorder;
 //!
 //! // U(x) = -Σ (x_i - t_i)², total resource 1.
 //! let problem = SeparableQuadratic::new(vec![1.0, 1.0, 1.0], vec![0.6, 0.3, 0.3], 1.0)?;
 //! let optimizer = ResourceDirectedOptimizer::new(StepSize::Fixed(0.2)).with_epsilon(1e-7);
-//! let solution = optimizer.run(&problem, &[1.0, 0.0, 0.0])?;
+//! let solution = optimizer.run(&problem, &[1.0, 0.0, 0.0], &mut NoopRecorder)?;
 //! assert!(solution.converged);
 //! // Optimum shifts each target down equally to satisfy Σ x = 1.
 //! let expected = [0.6 - 0.2 / 3.0, 0.3 - 0.2 / 3.0, 0.3 - 0.2 / 3.0];

@@ -33,12 +33,13 @@ use crate::problem::{check_dimension, AllocationProblem};
 /// use fap_econ::noise::NoisyProblem;
 /// use fap_econ::problems::SeparableQuadratic;
 /// use fap_econ::{AllocationProblem, ResourceDirectedOptimizer, StepSize};
+/// use fap_obs::NoopRecorder;
 ///
 /// let exact = SeparableQuadratic::new(vec![1.0; 3], vec![0.5, 0.3, 0.2], 1.0)?;
 /// let noisy = NoisyProblem::new(&exact, 0.05, 7)?; // ±5% marginal error
 /// let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
 ///     .with_max_iterations(500)
-///     .run(&noisy, &[1.0, 0.0, 0.0])?;
+///     .run(&noisy, &[1.0, 0.0, 0.0], &mut NoopRecorder)?;
 /// // The true cost still lands close to the optimum (0 for this problem).
 /// assert!(exact.cost(&s.allocation)? < 1e-3);
 /// # Ok::<(), fap_econ::EconError>(())
@@ -119,6 +120,7 @@ impl<P: AllocationProblem> AllocationProblem for NoisyProblem<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_obs::NoopRecorder;
     use crate::problems::SeparableQuadratic;
     use crate::resource_directed::ResourceDirectedOptimizer;
     use crate::step_size::StepSize;
@@ -196,7 +198,7 @@ mod tests {
             let noisy = NoisyProblem::new(&p, level, 11).unwrap();
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
                 .with_max_iterations(2_000)
-                .run(&noisy, &[1.0, 0.0, 0.0])
+                .run(&noisy, &[1.0, 0.0, 0.0], &mut NoopRecorder)
                 .unwrap();
             // The true cost gap shrinks to a noise-sized neighborhood.
             let gap = p.cost(&s.allocation).unwrap() - p.cost(&exact).unwrap();
@@ -213,7 +215,7 @@ mod tests {
             let noisy = NoisyProblem::new(&p, level, 5).unwrap();
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
                 .with_max_iterations(2_000)
-                .run(&noisy, &[1.0, 0.0, 0.0])
+                .run(&noisy, &[1.0, 0.0, 0.0], &mut NoopRecorder)
                 .unwrap();
             p.cost(&s.allocation).unwrap() - p.cost(&exact).unwrap()
         };

@@ -29,7 +29,7 @@
 //! seeded λ-trajectories and computes regret versus the per-epoch
 //! clairvoyant optimum.
 
-use fap_obs::{NoopRecorder, Recorder};
+use fap_obs::Recorder;
 
 use crate::error::EconError;
 use crate::problem::{check_dimension, AllocationProblem};
@@ -192,6 +192,7 @@ pub struct TrackedEpoch {
 /// ```
 /// use fap_econ::problems::SeparableQuadratic;
 /// use fap_econ::{ResourceDirectedOptimizer, StepSize, TrackingOptimizer};
+/// use fap_obs::NoopRecorder;
 ///
 /// let optimizer = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-9);
 /// let mut tracker = TrackingOptimizer::new(optimizer, 0.01)?;
@@ -204,7 +205,7 @@ pub struct TrackedEpoch {
 ///         vec![0.5 + drift, 0.3, 0.2 - drift],
 ///         1.0,
 ///     )?;
-///     let tracked = tracker.track(&problem, &initial)?;
+///     let tracked = tracker.track(&problem, &initial, &mut NoopRecorder)?;
 ///     assert!(tracked.converged);
 ///     assert_eq!(tracked.warm, epoch > 0);
 /// }
@@ -290,27 +291,14 @@ impl TrackingOptimizer {
 
     /// Tracks one epoch: solves `problem`, warm-started from and
     /// hysteresis-anchored at the previous epoch's allocation (cold from
-    /// `initial` on the first epoch or after [`TrackingOptimizer::reset`]).
+    /// `initial` on the first epoch or after [`TrackingOptimizer::reset`]),
+    /// recording the `econ.*` instruments of
+    /// [`ResourceDirectedOptimizer::run`] into `recorder`.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ResourceDirectedOptimizer::run`].
     pub fn track<P: AllocationProblem + ?Sized>(
-        &mut self,
-        problem: &P,
-        initial: &[f64],
-    ) -> Result<TrackedEpoch, EconError> {
-        self.track_observed(problem, initial, &mut NoopRecorder)
-    }
-
-    /// [`TrackingOptimizer::track`] with per-iteration telemetry recorded
-    /// into `recorder` (the `econ.*` instruments of
-    /// [`ResourceDirectedOptimizer::run_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ResourceDirectedOptimizer::run`].
-    pub fn track_observed<P: AllocationProblem + ?Sized>(
         &mut self,
         problem: &P,
         initial: &[f64],
@@ -320,19 +308,15 @@ impl TrackingOptimizer {
         let (solution, anchor, warm) = match self.previous.take() {
             None => {
                 let solution =
-                    self.optimizer.run_observed_with_scratch(problem, initial, &mut self.scratch, recorder)?;
+                    self.optimizer.run_with_scratch(problem, initial, &mut self.scratch, recorder)?;
                 (solution, initial.to_vec(), false)
             }
             Some(anchor) => {
                 let penalized =
                     HysteresisProblem::new(problem, &anchor, self.eta)?.with_smoothing(self.mu)?;
                 self.scratch.start_from(&anchor);
-                let solution = self.optimizer.run_observed_with_scratch(
-                    &penalized,
-                    &anchor,
-                    &mut self.scratch,
-                    recorder,
-                )?;
+                let solution = self.optimizer
+                    .run_with_scratch(&penalized, &anchor, &mut self.scratch, recorder)?;
                 (solution, anchor, true)
             }
         };
@@ -484,6 +468,7 @@ impl MigrationPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_obs::NoopRecorder;
     use crate::problems::SeparableQuadratic;
     use crate::step_size::StepSize;
 
@@ -546,12 +531,13 @@ mod tests {
     fn first_epoch_is_cold_then_warm() {
         let mut tracker = TrackingOptimizer::new(optimizer(), 0.01).unwrap();
         let initial = vec![1.0 / 3.0; 3];
-        let first = tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial).unwrap();
+        let first = tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial, &mut NoopRecorder).unwrap();
         assert_eq!(first.epoch, 0);
         assert!(!first.warm);
         assert!(first.converged);
         assert_eq!(first.true_utility, first.penalized_utility);
-        let second = tracker.track(&quad(vec![0.45, 0.35, 0.2]), &initial).unwrap();
+        let second =
+            tracker.track(&quad(vec![0.45, 0.35, 0.2]), &initial, &mut NoopRecorder).unwrap();
         assert_eq!(second.epoch, 1);
         assert!(second.warm);
         assert!(second.converged);
@@ -561,12 +547,27 @@ mod tests {
     }
 
     #[test]
+    fn recording_never_changes_the_tracked_epochs() {
+        let epochs = [quad(vec![0.5, 0.3, 0.2]), quad(vec![0.45, 0.35, 0.2])];
+        let initial = vec![1.0 / 3.0; 3];
+        let mut plain = TrackingOptimizer::new(optimizer(), 0.01).unwrap();
+        let mut observed = TrackingOptimizer::new(optimizer(), 0.01).unwrap();
+        let mut tele = fap_obs::Telemetry::manual();
+        for p in &epochs {
+            let a = plain.track(p, &initial, &mut NoopRecorder).unwrap();
+            let b = observed.track(p, &initial, &mut tele).unwrap();
+            assert_eq!(a, b);
+        }
+        assert!(tele.registry().counter("econ.iterations") > 0);
+    }
+
+    #[test]
     fn zero_drift_keeps_the_allocation_fixed() {
         let p = quad(vec![0.5, 0.3, 0.2]);
         let mut tracker = TrackingOptimizer::new(optimizer(), 0.5).unwrap();
         let initial = vec![1.0 / 3.0; 3];
-        let first = tracker.track(&p, &initial).unwrap();
-        let second = tracker.track(&p, &initial).unwrap();
+        let first = tracker.track(&p, &initial, &mut NoopRecorder).unwrap();
+        let second = tracker.track(&p, &initial, &mut NoopRecorder).unwrap();
         assert_eq!(second.iterations, 0, "anchor already optimal: no steps");
         for (a, b) in first.allocation.iter().zip(&second.allocation) {
             assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
@@ -582,8 +583,8 @@ mod tests {
         let movement = |eta: f64, mu: f64| {
             let mut tracker =
                 TrackingOptimizer::new(optimizer(), eta).unwrap().with_smoothing(mu).unwrap();
-            tracker.track(&a, &initial).unwrap();
-            tracker.track(&b, &initial).unwrap().movement
+            tracker.track(&a, &initial, &mut NoopRecorder).unwrap();
+            tracker.track(&b, &initial, &mut NoopRecorder).unwrap().movement
         };
         // The quadratic's marginal slope is 2·k_i = 2: a penalty of η damps
         // each coordinate's move by η/2, and once η exceeds half the inner
@@ -602,11 +603,11 @@ mod tests {
     fn reset_forgets_the_anchor() {
         let mut tracker = TrackingOptimizer::new(optimizer(), 0.1).unwrap();
         let initial = vec![1.0 / 3.0; 3];
-        tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial).unwrap();
+        tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial, &mut NoopRecorder).unwrap();
         assert!(tracker.current().is_some());
         tracker.reset();
         assert_eq!(tracker.epochs(), 0);
-        let again = tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial).unwrap();
+        let again = tracker.track(&quad(vec![0.5, 0.3, 0.2]), &initial, &mut NoopRecorder).unwrap();
         assert!(!again.warm);
     }
 

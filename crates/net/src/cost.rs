@@ -154,6 +154,8 @@ impl CostMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_batch::Parallelism;
+    use fap_obs::NoopRecorder;
     use crate::topology;
 
     #[test]
@@ -183,7 +185,7 @@ mod tests {
         // Paper §6: 4-node ring, unit link costs, uniform accesses. Each C_i
         // should be (0 + 1 + 2 + 1) / 4 = 1.
         let g = topology::ring(4, 1.0).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let w = AccessPattern::uniform(4, 1.0).unwrap();
         let c = m.systemwide_access_costs(&w);
         for ci in &c {
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn hotspot_node_is_cheap_to_its_own_traffic() {
         let g = topology::star(5, 1.0).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // Nearly all traffic generated at leaf node 1.
         let w = AccessPattern::new(vec![0.01, 10.0, 0.01, 0.01, 0.01]).unwrap();
         let c = m.systemwide_access_costs(&w);

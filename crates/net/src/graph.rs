@@ -275,39 +275,29 @@ impl Graph {
     ///
     /// # Errors
     ///
+    /// The independent single-source runs fan out over scoped threads; the
+    /// matrix is bit-identical for every [`fap_batch::Parallelism`]
+    /// setting. `recorder` receives the `net.fanout_threads` gauge and one
+    /// `net.dijkstra_chunk_ns` observation per worker chunk (wall-clock, in
+    /// chunk order); a disabled recorder measures no timing at all.
+    ///
+    /// # Errors
+    ///
     /// Returns [`NetError::Disconnected`] when some pair of nodes has no
-    /// connecting path.
-    pub fn shortest_path_matrix(&self) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra(self)
-    }
-
-    /// Like [`Graph::shortest_path_matrix`], fanning the independent
-    /// single-source runs out over scoped threads. Bit-identical to the
-    /// sequential computation for every [`fap_batch::Parallelism`] setting.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::shortest_path_matrix`].
-    pub fn shortest_path_matrix_parallel(
-        &self,
-        parallelism: fap_batch::Parallelism,
-    ) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra_parallel(self, parallelism)
-    }
-
-    /// Like [`Graph::shortest_path_matrix_parallel`], recording per-chunk
-    /// task timings and the fan-out width into `recorder` (see
-    /// [`shortest_path::all_pairs_dijkstra_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::shortest_path_matrix`].
-    pub fn shortest_path_matrix_observed(
+    /// connecting path — the paper's model assumes the network is logically
+    /// fully connected — and [`NetError::TooLarge`] if `n·n` exceeds
+    /// [`shortest_path::DEFAULT_DENSE_ELEMENT_BUDGET`].
+    pub fn shortest_path_matrix(
         &self,
         parallelism: fap_batch::Parallelism,
         recorder: &mut dyn fap_obs::Recorder,
     ) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra_observed(self, parallelism, recorder)
+        shortest_path::all_pairs_dijkstra(
+            self,
+            parallelism,
+            shortest_path::DEFAULT_DENSE_ELEMENT_BUDGET,
+            recorder,
+        )
     }
 }
 

@@ -744,7 +744,8 @@ impl CostProvider for LandmarkOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortest_path::{all_pairs_dijkstra, dijkstra};
+    use fap_obs::NoopRecorder;
+    use crate::shortest_path::dijkstra;
     use crate::topology;
 
     #[test]
@@ -763,7 +764,7 @@ mod tests {
     #[test]
     fn bounds_bracket_true_distance_on_a_ring() {
         let g = topology::ring(12, 1.0).unwrap();
-        let exact = all_pairs_dijkstra(&g).unwrap();
+        let exact = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let oracle = LandmarkOracle::build(&g, 4, 7).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
@@ -966,7 +967,7 @@ mod tests {
     #[test]
     fn k_larger_than_n_is_exact() {
         let g = topology::random_connected(9, 0.4, 1.0..3.0, 2).unwrap();
-        let exact = all_pairs_dijkstra(&g).unwrap();
+        let exact = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let oracle = LandmarkOracle::build(&g, 64, 5).unwrap();
         // With every node a landmark the upper bound is the true distance.
         assert_eq!(oracle.landmark_count(), 9);

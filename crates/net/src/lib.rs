@@ -21,10 +21,11 @@
 //! system-wide access cost `C_i` of each node under a uniform workload:
 //!
 //! ```
-//! use fap_net::{topology, workload::AccessPattern};
+//! use fap_net::{topology, workload::AccessPattern, Parallelism};
+//! use fap_obs::NoopRecorder;
 //!
 //! let graph = topology::ring(4, 1.0)?;
-//! let costs = graph.shortest_path_matrix()?;
+//! let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
 //! let pattern = AccessPattern::uniform(4, 1.0)?;
 //! let c = costs.systemwide_access_costs(&pattern);
 //! // Symmetric ring: every node is equally cheap to access.

@@ -120,6 +120,8 @@ impl CostProvider for CostMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_batch::Parallelism;
+    use fap_obs::NoopRecorder;
     use crate::topology;
 
     /// A provider that only implements the required methods, to exercise
@@ -141,7 +143,7 @@ mod tests {
     #[test]
     fn default_systemwide_costs_are_bit_identical_to_dense() {
         let g = topology::random_connected(17, 0.35, 1.0..5.0, 42).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let w = AccessPattern::random(17, 0.2..3.0, 7).unwrap();
         let dense = CostMatrix::systemwide_access_costs(&m, &w);
         let via_default = PointwiseMirror(&m).systemwide_access_costs(&w);
@@ -154,7 +156,7 @@ mod tests {
     #[test]
     fn default_row_into_matches_dense_row() {
         let g = topology::ring(6, 1.5).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let mirror = PointwiseMirror(&m);
         let mut row = vec![0.0; 6];
         for i in 0..6 {
@@ -166,14 +168,14 @@ mod tests {
     #[test]
     fn dense_substrate_bytes_is_n_squared() {
         let g = topology::ring(8, 1.0).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(CostProvider::substrate_bytes(&m), 8 * 8 * 8);
     }
 
     #[test]
     fn provider_is_object_safe() {
         let g = topology::ring(4, 1.0).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let p: &dyn CostProvider = &m;
         assert_eq!(p.node_count(), 4);
         assert_eq!(p.cost(NodeId::new(0), NodeId::new(2)), 2.0);

@@ -10,6 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use fap_batch::Parallelism;
+use fap_obs::NoopRecorder;
+
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
 use crate::shortest_path::dijkstra_with_predecessors;
@@ -133,7 +136,7 @@ pub struct PathMetrics {
 ///
 /// Returns [`NetError::Disconnected`] when some pair has no path.
 pub fn path_metrics(graph: &Graph) -> Result<PathMetrics, NetError> {
-    let costs = graph.shortest_path_matrix()?;
+    let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
     let table = RoutingTable::build(graph)?;
     let mut diameter = 0.0f64;
     let mut total = 0.0;
@@ -221,7 +224,7 @@ mod tests {
         #[test]
         fn path_costs_match_matrix(seed in 0u64..60, n in 2usize..10, p in 0.1f64..0.9) {
             let g = topology::random_connected(n, p, 1.0..4.0, seed).unwrap();
-            let costs = g.shortest_path_matrix().unwrap();
+            let costs = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
             let t = RoutingTable::build(&g).unwrap();
             for i in g.nodes() {
                 for j in g.nodes() {

@@ -5,10 +5,11 @@
 //! portion of the file (§6). This module provides two classic all-pairs
 //! algorithms over [`Graph`]:
 //!
-//! * [`all_pairs_dijkstra`] — one Dijkstra run per source, `O(N·E log N)`;
-//!   [`all_pairs_dijkstra_parallel`] fans the independent sources out over
-//!   scoped threads with **bit-identical** results (each source writes one
-//!   disjoint row of the flat matrix; errors are reported in source order);
+//! * [`Graph::shortest_path_matrix`] — one Dijkstra run per source,
+//!   `O(N·E log N)`, fanned out over scoped threads with **bit-identical**
+//!   results (each source writes one disjoint row of the flat matrix;
+//!   errors are reported in source order);
+//!   [`all_pairs_dijkstra_budgeted`] overrides its element budget;
 //! * [`floyd_warshall`] — the `O(N³)` dynamic program, used in tests as an
 //!   independent oracle for Dijkstra.
 //!
@@ -154,82 +155,35 @@ fn dijkstra_rows(graph: &Graph, first: usize, chunk: &mut [f64]) -> Result<(), N
     Ok(())
 }
 
-/// Computes the all-pairs cheapest-path [`CostMatrix`] via repeated Dijkstra.
-///
-/// Equivalent to [`all_pairs_dijkstra_parallel`] with
-/// [`Parallelism::Sequential`].
-///
-/// # Errors
-///
-/// Returns [`NetError::Disconnected`] if any ordered pair of distinct nodes
-/// has no connecting path — the paper's model assumes the network is
-/// logically fully connected — and [`NetError::TooLarge`] if `n·n` exceeds
-/// [`DEFAULT_DENSE_ELEMENT_BUDGET`].
-pub fn all_pairs_dijkstra(graph: &Graph) -> Result<CostMatrix, NetError> {
-    all_pairs_dijkstra_parallel(graph, Parallelism::Sequential)
-}
-
-/// Like [`all_pairs_dijkstra_parallel`] with an explicit element budget in
+/// [`Graph::shortest_path_matrix`] with an explicit element budget in
 /// place of [`DEFAULT_DENSE_ELEMENT_BUDGET`] — benches that deliberately
 /// run oversized dense baselines raise it; admission layers lower it.
 ///
 /// # Errors
 ///
-/// Same conditions as [`all_pairs_dijkstra`], with `budget` as the
+/// Same conditions as [`Graph::shortest_path_matrix`], with `budget` as the
 /// [`NetError::TooLarge`] threshold.
 pub fn all_pairs_dijkstra_budgeted(
     graph: &Graph,
     parallelism: Parallelism,
     budget: u64,
 ) -> Result<CostMatrix, NetError> {
+    all_pairs_dijkstra(graph, parallelism, budget, &mut NoopRecorder)
+}
+
+/// The all-pairs Dijkstra body behind [`Graph::shortest_path_matrix`]: the
+/// `budget` gate, then the sources fanned out over scoped threads, each
+/// worker writing only its own contiguous block of rows. Chunk results are
+/// examined in source order after the join, so the matrix and even the
+/// error for a disconnected graph are bit-identical for every
+/// [`Parallelism`] setting.
+pub(crate) fn all_pairs_dijkstra(
+    graph: &Graph,
+    parallelism: Parallelism,
+    budget: u64,
+    recorder: &mut dyn Recorder,
+) -> Result<CostMatrix, NetError> {
     check_dense_budget(graph.node_count(), budget)?;
-    all_pairs_dijkstra_unbudgeted(graph, parallelism, &mut NoopRecorder)
-}
-
-/// Computes the all-pairs cheapest-path [`CostMatrix`], fanning the
-/// independent single-source runs out over scoped threads.
-///
-/// The result is **bit-identical** to [`all_pairs_dijkstra`] for every
-/// [`Parallelism`] setting: the sources are split into contiguous chunks,
-/// each worker writes only its own disjoint rows of the flat matrix, and
-/// chunk results are examined in source order after the join — so even the
-/// reported error for a disconnected graph is the one the sequential sweep
-/// would hit first.
-///
-/// # Errors
-///
-/// Same conditions as [`all_pairs_dijkstra`].
-pub fn all_pairs_dijkstra_parallel(
-    graph: &Graph,
-    parallelism: Parallelism,
-) -> Result<CostMatrix, NetError> {
-    all_pairs_dijkstra_observed(graph, parallelism, &mut NoopRecorder)
-}
-
-/// Like [`all_pairs_dijkstra_parallel`], recording the fan-out into
-/// `recorder`: the `net.fanout_threads` gauge and one
-/// `net.dijkstra_chunk_ns` observation per worker chunk (wall-clock, in
-/// chunk order). With a disabled recorder no timing is measured at all, and
-/// the computed matrix is bit-identical either way.
-///
-/// # Errors
-///
-/// Same conditions as [`all_pairs_dijkstra`].
-pub fn all_pairs_dijkstra_observed(
-    graph: &Graph,
-    parallelism: Parallelism,
-    recorder: &mut dyn Recorder,
-) -> Result<CostMatrix, NetError> {
-    check_dense_budget(graph.node_count(), DEFAULT_DENSE_ELEMENT_BUDGET)?;
-    all_pairs_dijkstra_unbudgeted(graph, parallelism, recorder)
-}
-
-/// The shared fan-out body, past the budget gate.
-fn all_pairs_dijkstra_unbudgeted(
-    graph: &Graph,
-    parallelism: Parallelism,
-    recorder: &mut dyn Recorder,
-) -> Result<CostMatrix, NetError> {
     let n = graph.node_count();
     if n == 0 {
         return CostMatrix::from_matrix(Matrix::zeros(0, 0));
@@ -279,7 +233,7 @@ fn all_pairs_dijkstra_unbudgeted(
 
 /// Computes the all-pairs cheapest-path [`CostMatrix`] via Floyd–Warshall.
 ///
-/// Functionally identical to [`all_pairs_dijkstra`]; provided as an
+/// Functionally identical to [`Graph::shortest_path_matrix`]; provided as an
 /// independent oracle and for dense graphs where `O(N³)` is competitive.
 ///
 /// # Errors
@@ -409,7 +363,7 @@ mod tests {
     fn all_pairs_rejects_disconnected_graph() {
         let mut g = Graph::new(3);
         g.add_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
-        let err = all_pairs_dijkstra(&g).unwrap_err();
+        let err = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap_err();
         assert!(matches!(err, NetError::Disconnected { .. }));
         let err = floyd_warshall(&g).unwrap_err();
         assert!(matches!(err, NetError::Disconnected { .. }));
@@ -423,10 +377,11 @@ mod tests {
         for i in 0..4 {
             g.add_link(NodeId::new(i), NodeId::new(i + 1), 1.0).unwrap();
         }
-        let expected = all_pairs_dijkstra(&g).unwrap_err();
+        let expected =
+            g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap_err();
         for threads in [1, 2, 3, 4, 8] {
             let err =
-                all_pairs_dijkstra_parallel(&g, Parallelism::Fixed(threads)).unwrap_err();
+                g.shortest_path_matrix(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap_err();
             assert_eq!(format!("{err:?}"), format!("{expected:?}"), "threads={threads}");
         }
     }
@@ -434,10 +389,10 @@ mod tests {
     #[test]
     fn observed_fanout_records_chunk_timings_and_matches_sequential() {
         let g = topology::random_connected(24, 0.4, 1.0..4.0, 19).unwrap();
-        let seq = all_pairs_dijkstra(&g).unwrap();
+        let seq = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let mut registry = fap_obs::MetricsRegistry::new();
         let par =
-            all_pairs_dijkstra_observed(&g, Parallelism::Fixed(4), &mut registry).unwrap();
+            g.shortest_path_matrix(Parallelism::Fixed(4), &mut registry).unwrap();
         for (a, b) in seq.as_matrix().as_slice().iter().zip(par.as_matrix().as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -477,7 +432,7 @@ mod tests {
     #[test]
     fn ring_of_four_has_expected_distances() {
         let g = topology::ring(4, 1.0).unwrap();
-        let m = all_pairs_dijkstra(&g).unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(1)), 1.0);
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(2)), 2.0);
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(3)), 1.0);
@@ -491,7 +446,7 @@ mod tests {
         g.add_directed_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
         g.add_directed_link(NodeId::new(1), NodeId::new(2), 1.0).unwrap();
         g.add_directed_link(NodeId::new(2), NodeId::new(0), 1.0).unwrap();
-        let m = all_pairs_dijkstra(&g).unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(2)), 2.0);
         assert_eq!(m.cost(NodeId::new(2), NodeId::new(0)), 1.0);
     }
@@ -499,7 +454,7 @@ mod tests {
     #[test]
     fn floyd_warshall_matches_dijkstra_on_fixed_graphs() {
         for g in [line3(), topology::ring(6, 2.5).unwrap(), topology::full_mesh(5, 1.0).unwrap()] {
-            let a = all_pairs_dijkstra(&g).unwrap();
+            let a = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
             let b = floyd_warshall(&g).unwrap();
             for i in g.nodes() {
                 for j in g.nodes() {
@@ -516,7 +471,7 @@ mod tests {
         #[test]
         fn shortest_paths_form_a_metric(seed in 0u64..64, n in 2usize..12, p in 0.2f64..1.0) {
             let g = topology::random_connected(n, p, 1.0..5.0, seed).unwrap();
-            let a = all_pairs_dijkstra(&g).unwrap();
+            let a = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
             let b = floyd_warshall(&g).unwrap();
             for i in g.nodes() {
                 prop_assert!(a.cost(i, i) == 0.0);
@@ -535,9 +490,10 @@ mod tests {
         #[test]
         fn parallel_all_pairs_is_bit_identical(seed in 0u64..32, n in 2usize..14, p in 0.2f64..1.0) {
             let g = topology::random_connected(n, p, 1.0..5.0, seed).unwrap();
-            let seq = all_pairs_dijkstra(&g).unwrap();
+            let seq = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
             for threads in [1usize, 2, 3, 5] {
-                let par = all_pairs_dijkstra_parallel(&g, Parallelism::Fixed(threads)).unwrap();
+                let par =
+                    g.shortest_path_matrix(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap();
                 for (a, b) in seq.as_matrix().as_slice().iter().zip(par.as_matrix().as_slice()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }

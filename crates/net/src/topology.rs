@@ -255,6 +255,8 @@ pub fn random_connected(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use fap_batch::Parallelism;
+    use fap_obs::NoopRecorder;
 
     #[test]
     fn ring_shape() {
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn star_routes_leaf_to_leaf_through_hub() {
         let g = star(4, 2.0).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(m.cost(NodeId::new(1), NodeId::new(2)), 4.0);
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(3)), 2.0);
     }
@@ -310,7 +312,7 @@ mod tests {
     #[test]
     fn line_end_to_end_distance() {
         let g = line(5, 1.5).unwrap();
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(4)), 6.0);
     }
 
@@ -318,7 +320,7 @@ mod tests {
     fn grid_shape_and_distance() {
         let g = grid(3, 3, 1.0).unwrap();
         assert_eq!(g.node_count(), 9);
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // Manhattan distance between opposite corners.
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(8)), 4.0);
     }
@@ -336,7 +338,7 @@ mod tests {
         for i in g.nodes() {
             assert_eq!(g.neighbors(i).len(), 4);
         }
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // Opposite corner of a 3×4 torus: 1 wrap step + 2 column steps.
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(2 * 4 + 2)), 3.0);
     }
@@ -351,7 +353,7 @@ mod tests {
         // Binary tree of depth 2: 1 + 2 + 4 = 7 nodes.
         let g = balanced_tree(2, 2, 1.0).unwrap();
         assert_eq!(g.node_count(), 7);
-        let m = g.shortest_path_matrix().unwrap();
+        let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // Leaf 3 (child of 1) to leaf 5 (child of 2): up 2, down 2.
         assert_eq!(m.cost(NodeId::new(3), NodeId::new(5)), 4.0);
         // Root to any leaf: depth.
@@ -399,7 +401,8 @@ mod tests {
         #[test]
         fn random_graphs_are_connected(seed in 0u64..200, n in 2usize..16, p in 0.0f64..1.0) {
             let g = random_connected(n, p, 1.0..3.0, seed).unwrap();
-            prop_assert!(g.shortest_path_matrix().is_ok());
+            let costs = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder);
+            prop_assert!(costs.is_ok());
             for i in g.nodes() {
                 for &(_, cost) in g.neighbors(i) {
                     prop_assert!((1.0..3.0).contains(&cost));

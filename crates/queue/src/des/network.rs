@@ -56,11 +56,12 @@ impl SimReport {
 /// `1/(μ − λ/4) = 0.8`:
 ///
 /// ```
-/// use fap_net::{topology, AccessPattern};
+/// use fap_net::{topology, AccessPattern, Parallelism};
+/// use fap_obs::NoopRecorder;
 /// use fap_queue::{NetworkSimulation, ServiceDistribution};
 ///
 /// let graph = topology::ring(4, 1.0)?;
-/// let costs = graph.shortest_path_matrix()?;
+/// let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
 /// let pattern = AccessPattern::uniform(4, 1.0)?;
 /// let service = ServiceDistribution::exponential(1.5)?;
 /// let report = NetworkSimulation::new(vec![0.25; 4], pattern, costs, service)?
@@ -253,11 +254,14 @@ impl NetworkSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_net::Parallelism;
     use fap_net::topology;
+    use fap_obs::NoopRecorder;
 
     fn ring4() -> (AccessPattern, CostMatrix) {
         let g = topology::ring(4, 1.0).unwrap();
-        (AccessPattern::uniform(4, 1.0).unwrap(), g.shortest_path_matrix().unwrap())
+        let costs = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        (AccessPattern::uniform(4, 1.0).unwrap(), costs)
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use fap_obs::NoopRecorder;
+
 use crate::error::RingError;
 use crate::layout::VirtualRing;
 use crate::solver::RingSolver;
@@ -81,7 +83,7 @@ pub fn sweep_copies(
         let ring =
             VirtualRing::new(link_costs.to_vec(), lambdas.to_vec(), mus.to_vec(), m, k)?;
         let start = vec![m / n as f64; n];
-        let solution = solver.solve(&ring, &start)?;
+        let solution = solver.solve(&ring, &start, &mut NoopRecorder)?;
         points.push(CopySweepPoint {
             copies: m,
             access_cost: solution.best_cost,

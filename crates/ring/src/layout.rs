@@ -185,6 +185,8 @@ impl VirtualRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_net::Parallelism;
+    use fap_obs::NoopRecorder;
 
     #[test]
     fn validates_construction() {
@@ -217,7 +219,7 @@ mod tests {
         // A physical 5-ring with unit links: the dense substrate prices
         // every virtual forward link at the direct-hop cost.
         let g = fap_net::topology::ring(5, 2.0).unwrap();
-        let costs = g.shortest_path_matrix().unwrap();
+        let costs = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let ring =
             VirtualRing::from_provider(&costs, vec![1.0; 5], vec![2.0; 5], 1.0, 1.0).unwrap();
         assert_eq!(ring.link_costs(), &[2.0; 5]);
@@ -230,7 +232,8 @@ mod tests {
             assert!(s >= d);
         }
         // Too few nodes still fails ring validation.
-        let tiny = fap_net::topology::full_mesh(2, 1.0).unwrap().shortest_path_matrix().unwrap();
+        let tiny = fap_net::topology::full_mesh(2, 1.0).unwrap()
+            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert!(VirtualRing::from_provider(&tiny, vec![1.0; 2], vec![2.0; 2], 1.0, 1.0).is_err());
     }
 

@@ -26,10 +26,11 @@
 //! Two copies on a symmetric four-node ring spread out evenly:
 //!
 //! ```
+//! use fap_obs::NoopRecorder;
 //! use fap_ring::{solver::RingSolver, VirtualRing};
 //!
 //! let ring = VirtualRing::new(vec![1.0; 4], vec![0.25; 4], vec![1.5; 4], 2.0, 1.0)?;
-//! let solution = RingSolver::new(0.05).solve(&ring, &[2.0, 0.0, 0.0, 0.0])?;
+//! let solution = RingSolver::new(0.05).solve(&ring, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder)?;
 //! for x in &solution.best_allocation {
 //!     assert!((x - 0.5).abs() < 0.05);
 //! }

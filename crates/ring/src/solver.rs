@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use fap_econ::projection::{compute_step, BoundaryRule};
 use fap_econ::OscillationDetector;
-use fap_obs::{NoopRecorder, Recorder, Value};
+use fap_obs::{Recorder, Value};
 
 use crate::cost::total_cost;
 use crate::error::RingError;
@@ -128,28 +128,19 @@ impl RingSolver {
     }
 
     /// Runs the solver from the feasible `initial` allocation
-    /// (`Σ x_i = copies`, `x_i ≥ 0`).
+    /// (`Σ x_i = copies`, `x_i ≥ 0`), recording per-iteration `iter` events
+    /// (cost, step size), `ring.iterations` / `ring.alpha_decays` counters,
+    /// a `ring.alpha` gauge, and a `run_end` event carrying the iteration
+    /// count and final/best costs into `recorder`, so `fap report` reads
+    /// ring runs. Virtual time is the iteration counter; the recorder never
+    /// changes the result.
     ///
     /// # Errors
     ///
     /// Returns [`RingError::InvalidParameter`] for invalid configuration and
     /// [`RingError::Model`] for an infeasible start or an unevaluable
     /// iterate.
-    pub fn solve(&self, ring: &VirtualRing, initial: &[f64]) -> Result<RingSolution, RingError> {
-        self.solve_observed(ring, initial, &mut NoopRecorder)
-    }
-
-    /// [`RingSolver::solve`] with instrumentation: per-iteration `iter`
-    /// events (cost, step size), `ring.iterations` / `ring.alpha_decays`
-    /// counters, a `ring.alpha` gauge, and a `run_end` event carrying the
-    /// iteration count and final/best costs, so `fap report` reads ring
-    /// runs. Virtual time is the iteration counter. With a
-    /// [`NoopRecorder`] this is exactly [`RingSolver::solve`].
-    ///
-    /// # Errors
-    ///
-    /// As [`RingSolver::solve`].
-    pub fn solve_observed(
+    pub fn solve(
         &self,
         ring: &VirtualRing,
         initial: &[f64],
@@ -255,6 +246,7 @@ impl RingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_obs::NoopRecorder;
     use crate::cost;
 
     /// The §7.3 four-node ring family: λ_i = 0.25, μ = 1.5, k = 1, m = 2.
@@ -265,7 +257,7 @@ mod tests {
     #[test]
     fn symmetric_ring_spreads_two_copies_evenly() {
         let r = ring(vec![1.0; 4]);
-        let s = RingSolver::new(0.05).solve(&r, &[2.0, 0.0, 0.0, 0.0]).unwrap();
+        let s = RingSolver::new(0.05).solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
         assert!(s.converged);
         for v in &s.best_allocation {
             assert!((v - 0.5).abs() < 0.05, "{:?}", s.best_allocation);
@@ -280,8 +272,9 @@ mod tests {
         // greater oscillation". Fixed α, no adaptation, same start.
         let start = [2.0, 0.0, 0.0, 0.0];
         let solver = RingSolver::new(0.1).without_adaptation().with_max_iterations(150);
-        let comm = solver.solve(&ring(vec![4.0, 1.0, 1.0, 1.0]), &start).unwrap();
-        let delay = solver.solve(&ring(vec![1.0; 4]), &start).unwrap();
+        let comm =
+            solver.solve(&ring(vec![4.0, 1.0, 1.0, 1.0]), &start, &mut NoopRecorder).unwrap();
+        let delay = solver.solve(&ring(vec![1.0; 4]), &start, &mut NoopRecorder).unwrap();
         assert!(
             comm.oscillation_amplitude() > delay.oscillation_amplitude(),
             "comm {} vs delay {}",
@@ -298,12 +291,12 @@ mod tests {
         let big = RingSolver::new(0.1)
             .without_adaptation()
             .with_max_iterations(200)
-            .solve(&r, &start)
+            .solve(&r, &start, &mut NoopRecorder)
             .unwrap();
         let small = RingSolver::new(0.05)
             .without_adaptation()
             .with_max_iterations(200)
-            .solve(&r, &start)
+            .solve(&r, &start, &mut NoopRecorder)
             .unwrap();
         assert!(
             small.oscillation_amplitude() < big.oscillation_amplitude(),
@@ -317,7 +310,9 @@ mod tests {
     fn adaptation_converges_where_fixed_step_keeps_oscillating() {
         let r = ring(vec![4.0, 1.0, 1.0, 1.0]);
         let start = [2.0, 0.0, 0.0, 0.0];
-        let adaptive = RingSolver::new(0.1).with_max_iterations(3_000).solve(&r, &start).unwrap();
+        let adaptive =
+            RingSolver::new(0.1).with_max_iterations(3_000).solve(&r, &start, &mut NoopRecorder)
+                .unwrap();
         assert!(adaptive.converged, "adaptive run should halt on cost delta");
         // The step size actually decayed along the way.
         let first = adaptive.alpha_series.first().copied().unwrap();
@@ -329,7 +324,8 @@ mod tests {
     fn best_observed_is_no_worse_than_start_and_final() {
         let r = ring(vec![4.0, 1.0, 1.0, 1.0]);
         let start = [1.0, 1.0, 0.0, 0.0];
-        let s = RingSolver::new(0.1).without_adaptation().with_max_iterations(100).solve(&r, &start).unwrap();
+        let s = RingSolver::new(0.1).without_adaptation().with_max_iterations(100)
+            .solve(&r, &start, &mut NoopRecorder).unwrap();
         let start_cost = cost::total_cost(&r, &start).unwrap();
         assert!(s.best_cost <= start_cost + 1e-12);
         assert!(s.best_cost <= s.final_cost + 1e-12);
@@ -339,7 +335,8 @@ mod tests {
     #[test]
     fn every_iterate_keeps_the_copy_total() {
         let r = ring(vec![1.0; 4]);
-        let s = RingSolver::new(0.08).with_max_iterations(500).solve(&r, &[0.9, 0.7, 0.4, 0.0]).unwrap();
+        let s = RingSolver::new(0.08).with_max_iterations(500)
+            .solve(&r, &[0.9, 0.7, 0.4, 0.0], &mut NoopRecorder).unwrap();
         let total: f64 = s.final_allocation.iter().sum();
         assert!((total - 2.0).abs() < 1e-6, "total {total}");
         assert!(s.final_allocation.iter().all(|v| *v >= -1e-9));
@@ -351,7 +348,7 @@ mod tests {
         // gradual phase". Most of the total improvement happens in the
         // first few iterations.
         let r = ring(vec![1.0; 4]);
-        let s = RingSolver::new(0.05).solve(&r, &[2.0, 0.0, 0.0, 0.0]).unwrap();
+        let s = RingSolver::new(0.05).solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
         let c0 = s.cost_series[0];
         let c10 = s.cost_series[10.min(s.cost_series.len() - 1)];
         let improvement_total = c0 - s.best_cost;
@@ -365,22 +362,21 @@ mod tests {
     #[test]
     fn solver_validates_configuration() {
         let r = ring(vec![1.0; 4]);
-        assert!(RingSolver::new(0.0).solve(&r, &[0.5; 4]).is_err());
-        assert!(RingSolver::new(0.1)
-            .with_cost_delta_tolerance(0.0)
-            .solve(&r, &[0.5; 4])
-            .is_err());
-        assert!(RingSolver::new(0.1).with_decay(1.0, 0.001).solve(&r, &[0.5; 4]).is_err());
-        assert!(RingSolver::new(0.1).solve(&r, &[0.25; 4]).is_err()); // wrong total
+        let noop = &mut NoopRecorder;
+        assert!(RingSolver::new(0.0).solve(&r, &[0.5; 4], noop).is_err());
+        let strict = RingSolver::new(0.1).with_cost_delta_tolerance(0.0);
+        assert!(strict.solve(&r, &[0.5; 4], noop).is_err());
+        assert!(RingSolver::new(0.1).with_decay(1.0, 0.001).solve(&r, &[0.5; 4], noop).is_err());
+        assert!(RingSolver::new(0.1).solve(&r, &[0.25; 4], noop).is_err()); // wrong total
     }
 
     #[test]
     fn observed_solve_is_bit_identical_to_plain_solve() {
         let r = ring(vec![4.0, 1.0, 1.0, 1.0]);
         let solver = RingSolver::new(0.1).with_max_iterations(3_000);
-        let plain = solver.solve(&r, &[2.0, 0.0, 0.0, 0.0]).unwrap();
+        let plain = solver.solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
         let mut tele = fap_obs::Telemetry::manual();
-        let observed = solver.solve_observed(&r, &[2.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
+        let observed = solver.solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
         assert_eq!(plain, observed);
     }
 
@@ -389,7 +385,7 @@ mod tests {
         let r = ring(vec![4.0, 1.0, 1.0, 1.0]);
         let solver = RingSolver::new(0.1).with_max_iterations(3_000);
         let mut tele = fap_obs::Telemetry::manual();
-        let s = solver.solve_observed(&r, &[2.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
+        let s = solver.solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
         assert!(s.converged);
         // One counted pass per cost evaluation: `iterations` applied steps
         // plus the final halting pass.
@@ -411,7 +407,7 @@ mod tests {
         let s = RingSolver::new(0.1)
             .without_adaptation()
             .with_max_iterations(5)
-            .solve(&r, &[2.0, 0.0, 0.0, 0.0])
+            .solve(&r, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(!s.converged);
         assert_eq!(s.iterations, 5);

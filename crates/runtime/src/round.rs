@@ -316,6 +316,7 @@ mod tests {
     use fap_core::SingleFileProblem;
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     fn paper_problem() -> SingleFileProblem {
         let graph = topology::ring(4, 1.0).unwrap();
@@ -335,7 +336,7 @@ mod tests {
             .unwrap();
         let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
             .with_epsilon(1e-6)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         assert!(distributed.converged && centralized.converged);
         assert_eq!(distributed.allocation, centralized.allocation);

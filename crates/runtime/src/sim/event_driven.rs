@@ -307,7 +307,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             ],
                         );
                         // The caller fills `faults` from the recorded
-                        // stream — see `run_observed`.
+                        // stream — see `SimRun::run`.
                         return Ok(SimReport {
                             allocation: x,
                             rounds,
@@ -341,6 +341,7 @@ mod tests {
     use super::*;
     use fap_core::SingleFileProblem;
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     fn paper_problem() -> SingleFileProblem {
         let graph = topology::ring(4, 1.0).unwrap();
@@ -368,8 +369,8 @@ mod tests {
                 .with_epsilon(1e-3)
                 .with_max_rounds(10_000)
                 .with_chaos(plan);
-            let event_driven = sim.run(&x0).unwrap();
-            let lock_step = sim.run_round_synchronous(&x0).unwrap();
+            let event_driven = sim.run(&x0, &mut NoopRecorder).unwrap();
+            let lock_step = sim.run_round_synchronous(&x0, &mut NoopRecorder).unwrap();
             assert_eq!(event_driven, lock_step, "seed {seed}");
         }
     }
@@ -387,8 +388,8 @@ mod tests {
             .with_chaos(plan);
         let mut event_tele = fap_obs::Telemetry::manual();
         let mut lock_tele = fap_obs::Telemetry::manual();
-        let a = sim.run_observed(&x0, &mut event_tele).unwrap();
-        let b = sim.run_round_synchronous_observed(&x0, &mut lock_tele).unwrap();
+        let a = sim.run(&x0, &mut event_tele).unwrap();
+        let b = sim.run_round_synchronous(&x0, &mut lock_tele).unwrap();
         assert_eq!(a, b);
         assert_eq!(event_tele.to_jsonl(), lock_tele.to_jsonl());
     }

@@ -42,7 +42,7 @@
 use fap_econ::projection::{compute_step, BoundaryRule, StepOutcome};
 use fap_econ::trace::IterationRecord;
 use fap_econ::{marginal_spread, Trace};
-use fap_obs::{MetricsRegistry, NoopRecorder, Recorder, Tee, Value};
+use fap_obs::{MetricsRegistry, Recorder, Tee, Value};
 
 use super::chaos::ChaosPlan;
 use super::channel::LossyChannel;
@@ -74,6 +74,7 @@ pub(super) struct StaleEntry {
 /// ```
 /// use fap_core::SingleFileProblem;
 /// use fap_net::{topology, AccessPattern};
+/// use fap_obs::NoopRecorder;
 /// use fap_runtime::{ChaosPlan, ExchangeScheme, SimRun};
 ///
 /// let graph = topology::ring(4, 1.0)?;
@@ -83,7 +84,7 @@ pub(super) struct StaleEntry {
 /// let report = SimRun::new(&problem, ExchangeScheme::Broadcast, 0.19)
 ///     .with_epsilon(1e-3)
 ///     .with_chaos(plan)
-///     .run(&[0.8, 0.1, 0.1, 0.0])?;
+///     .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 /// assert!(report.converged);
 /// let total: f64 = report.allocation.iter().sum();
 /// assert!((total - 1.0).abs() < 1e-9);
@@ -156,57 +157,8 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         self
     }
 
-    /// Runs the simulated protocol from the feasible `initial` fragments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidParameter`] for bad configuration, an
-    /// infeasible start, or an invalid chaos plan (including a plan that
-    /// crashes a central coordinator), and propagates objective failures.
-    pub fn run(&self, initial: &[f64]) -> Result<SimReport, RuntimeError> {
-        self.run_observed(initial, &mut NoopRecorder)
-    }
-
-    /// Runs the protocol on the *round-synchronous* reference engine: one
-    /// lock-step `loop` iteration per round, exactly as §5.2 writes it.
-    ///
-    /// [`SimRun::run`] executes the event-driven engine instead (agents
-    /// react to `BeginRound`/`Arrival`/`Wake`/`Deadline` events on a
-    /// virtual-clock [`Reactor`](crate::Reactor)); because channel fates
-    /// are stateless per-coordinate draws, both engines are bit-identical
-    /// under *every* chaos plan — a property the equivalence suite pins by
-    /// comparing this method's output with [`SimRun::run`]'s. The lock-step
-    /// engine is kept as the executable specification.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_round_synchronous(&self, initial: &[f64]) -> Result<SimReport, RuntimeError> {
-        self.run_round_synchronous_observed(initial, &mut NoopRecorder)
-    }
-
-    /// Like [`SimRun::run_round_synchronous`], recording into `recorder`
-    /// exactly as [`SimRun::run_observed`] does.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_round_synchronous_observed(
-        &self,
-        initial: &[f64],
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimReport, RuntimeError> {
-        let mut local = MetricsRegistry::new();
-        let mut report = {
-            let mut tee = Tee::new(&mut local, recorder);
-            self.run_loop(initial, &mut tee)?
-        };
-        report.faults = FaultCounters::from_registry(&local);
-        Ok(report)
-    }
-
-    /// Like [`SimRun::run`], additionally recording the run into
-    /// `recorder`: the `sim.*` fault counters, the
+    /// Runs the simulated protocol from the feasible `initial` fragments,
+    /// recording the run into `recorder`: the `sim.*` fault counters, the
     /// `sim.report_latency_rounds` histogram on virtual (round) time, one
     /// `round` event per round, `fault`/`delivery` events from the channel,
     /// `crash`/`rejoin`/`stale`/`excluded` events from the executor, and a
@@ -220,17 +172,48 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_observed(
+    /// Returns [`RuntimeError::InvalidParameter`] for bad configuration, an
+    /// infeasible start, or an invalid chaos plan (including a plan that
+    /// crashes a central coordinator), and propagates objective failures.
+    pub fn run(
         &self,
         initial: &[f64],
         recorder: &mut dyn Recorder,
     ) -> Result<SimReport, RuntimeError> {
+        Self::tallied(recorder, |tee| self.run_event_driven(initial, tee))
+    }
+
+    /// Runs the protocol on the *round-synchronous* reference engine: one
+    /// lock-step `loop` iteration per round, exactly as §5.2 writes it,
+    /// recording into `recorder` exactly as [`SimRun::run`] does.
+    ///
+    /// [`SimRun::run`] executes the event-driven engine instead (agents
+    /// react to `BeginRound`/`Arrival`/`Wake`/`Deadline` events on a
+    /// virtual-clock [`Reactor`](crate::Reactor)); because channel fates
+    /// are stateless per-coordinate draws, both engines are bit-identical
+    /// under *every* chaos plan — a property the equivalence suite pins by
+    /// comparing this method's output with [`SimRun::run`]'s. The lock-step
+    /// engine is kept as the executable specification.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SimRun::run`].
+    pub fn run_round_synchronous(
+        &self,
+        initial: &[f64],
+        recorder: &mut dyn Recorder,
+    ) -> Result<SimReport, RuntimeError> {
+        Self::tallied(recorder, |tee| self.run_loop(initial, tee))
+    }
+
+    /// Runs `engine` on `recorder` teed with a local registry, then reads
+    /// the report's [`FaultCounters`] back from that registry.
+    fn tallied(
+        recorder: &mut dyn Recorder,
+        engine: impl FnOnce(&mut dyn Recorder) -> Result<SimReport, RuntimeError>,
+    ) -> Result<SimReport, RuntimeError> {
         let mut local = MetricsRegistry::new();
-        let mut report = {
-            let mut tee = Tee::new(&mut local, recorder);
-            self.run_event_driven(initial, &mut tee)?
-        };
+        let mut report = engine(&mut Tee::new(&mut local, recorder))?;
         report.faults = FaultCounters::from_registry(&local);
         Ok(report)
     }
@@ -455,7 +438,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                     ],
                 );
                 // The caller fills `faults` from the recorded stream — see
-                // `run_observed`.
+                // `SimRun::tallied`.
                 return Ok(SimReport {
                     allocation: x,
                     rounds,
@@ -601,6 +584,7 @@ mod tests {
     use crate::round::DistributedRun;
     use fap_core::SingleFileProblem;
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     fn paper_problem() -> SingleFileProblem {
         let graph = topology::ring(4, 1.0).unwrap();
@@ -616,7 +600,7 @@ mod tests {
             let sim = SimRun::new(&p, scheme, 0.19)
                 .with_epsilon(1e-6)
                 .with_chaos(ChaosPlan::new(1234))
-                .run(&x0)
+                .run(&x0, &mut NoopRecorder)
                 .unwrap();
             let run = DistributedRun::new(&p, scheme, 0.19).with_epsilon(1e-6).run(&x0).unwrap();
             assert_eq!(sim.allocation, run.allocation);
@@ -641,7 +625,7 @@ mod tests {
                 .with_chaos(
                     ChaosPlan::new(seed).with_drop(0.2).with_retries(1).with_staleness_bound(2),
                 )
-                .run(&x0)
+                .run(&x0, &mut NoopRecorder)
                 .unwrap()
         };
         let a = run(7);
@@ -664,7 +648,7 @@ mod tests {
             .with_epsilon(1e-6)
             .with_max_rounds(100_000)
             .with_chaos(plan)
-            .run(&[0.8, 0.1, 0.1, 0.0])
+            .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(r.converged, "heavy but recoverable chaos still converges");
         for it in &r.iterates {
@@ -685,13 +669,13 @@ mod tests {
         let with_stale = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_max_rounds(5_000)
             .with_chaos(ChaosPlan::new(3).with_drop(0.4).with_staleness_bound(4))
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(with_stale.faults.stale_reuses > 0);
         let without_stale = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_max_rounds(5_000)
             .with_chaos(ChaosPlan::new(3).with_drop(0.4))
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(without_stale.faults.excluded_agent_rounds > 0);
     }
@@ -704,7 +688,7 @@ mod tests {
             .with_epsilon(1e-7)
             .with_max_rounds(100_000)
             .with_chaos(plan)
-            .run(&[0.8, 0.1, 0.1, 0.0])
+            .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert_eq!(r.faults.crashes, 1);
         assert_eq!(r.faults.rejoins, 1);
@@ -726,7 +710,7 @@ mod tests {
             .with_epsilon(1e-7)
             .with_max_rounds(100_000)
             .with_chaos(ChaosPlan::new(0).crash(0, 1))
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(r.converged);
         assert_eq!(r.allocation[1], 0.0);
@@ -744,7 +728,7 @@ mod tests {
         let r = SimRun::new(&p, ExchangeScheme::Central { coordinator: 0 }, 0.1)
             .with_max_rounds(50_000)
             .with_chaos(plan)
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(r.faults.retries > 0);
         assert!(r.faults.sent > r.messages.total, "physical transmissions exceed nominal bill");
@@ -755,11 +739,12 @@ mod tests {
         let p = paper_problem();
         let crash_coord = SimRun::new(&p, ExchangeScheme::Central { coordinator: 2 }, 0.1)
             .with_chaos(ChaosPlan::new(0).crash(1, 2));
-        assert!(crash_coord.run(&[0.25; 4]).is_err());
+        assert!(crash_coord.run(&[0.25; 4], &mut NoopRecorder).is_err());
         let bad_drop = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_chaos(ChaosPlan::new(0).with_drop(2.0));
-        assert!(bad_drop.run(&[0.25; 4]).is_err());
-        assert!(SimRun::new(&p, ExchangeScheme::Broadcast, 0.1).run(&[0.5; 4]).is_err());
+        assert!(bad_drop.run(&[0.25; 4], &mut NoopRecorder).is_err());
+        let off_simplex = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1);
+        assert!(off_simplex.run(&[0.5; 4], &mut NoopRecorder).is_err());
     }
 
     #[test]
@@ -772,9 +757,9 @@ mod tests {
             .with_max_rounds(50_000)
             .with_chaos(plan);
 
-        let plain = sim.run(&x0).unwrap();
+        let plain = sim.run(&x0, &mut NoopRecorder).unwrap();
         let mut tele = fap_obs::Telemetry::manual();
-        let observed = sim.run_observed(&x0, &mut tele).unwrap();
+        let observed = sim.run(&x0, &mut tele).unwrap();
         assert_eq!(plain, observed, "recording must not perturb the run");
 
         // The external sink saw the same stream the summary was built from.
@@ -808,7 +793,7 @@ mod tests {
                 .with_chaos(
                     ChaosPlan::new(seed).with_drop(0.2).with_retries(1).with_staleness_bound(2),
                 )
-                .run_observed(&x0, &mut tele)
+                .run(&x0, &mut tele)
                 .unwrap();
             tele.to_jsonl()
         };
@@ -822,7 +807,7 @@ mod tests {
         let x0 = [0.8, 0.1, 0.1, 0.0];
         let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.19)
             .with_epsilon(1e-6)
-            .run(&x0)
+            .run(&x0, &mut NoopRecorder)
             .unwrap();
         assert_eq!(r.iterates[0], x0.to_vec());
         assert_eq!(r.iterates.last().unwrap(), &r.allocation);

@@ -109,10 +109,13 @@ pub fn best_coordinator(delays: &CostMatrix) -> Result<usize, RuntimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_batch::Parallelism;
     use fap_net::topology;
+    use fap_obs::NoopRecorder;
 
     fn star_delays() -> CostMatrix {
-        topology::star(5, 1.0).unwrap().shortest_path_matrix().unwrap()
+        topology::star(5, 1.0).unwrap()
+            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap()
     }
 
     #[test]
@@ -139,7 +142,8 @@ mod tests {
 
     #[test]
     fn line_prefers_a_central_coordinator() {
-        let delays = topology::line(7, 1.0).unwrap().shortest_path_matrix().unwrap();
+        let delays = topology::line(7, 1.0).unwrap()
+            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(best_coordinator(&delays).unwrap(), 3, "the middle of the line");
     }
 

@@ -37,8 +37,8 @@
 //!   [`OptimizerScratch`] and one [`MultiFileScratch`] reused across every
 //!   task it executes, the same scratch discipline the batch engine
 //!   established.
-//! * **Per-shard metrics, one aggregate.** Each worker records through the
-//!   `_observed` solver entry points into its own [`MetricsRegistry`]
+//! * **Per-shard metrics, one aggregate.** Each worker passes its own
+//!   [`MetricsRegistry`] as the recorder of every solver entry point
 //!   (a registry keeps counters/gauges/histograms and drops events). After
 //!   the join, shard registries are replayed in shard order through a
 //!   [`Tee`] into the aggregate snapshot and any caller-provided recorder —
@@ -63,7 +63,7 @@ use fap_econ::{
     AllocationProblem, OptimizerScratch, ResourceDirectedOptimizer, Solution, StepSize,
 };
 use fap_obs::{
-    emit_span, emit_span_end, emit_span_start, MetricsRegistry, NoopRecorder, Recorder,
+    emit_span, emit_span_end, emit_span_start, MetricsRegistry, Recorder,
     Tee, TraceContext,
 };
 use fap_ring::{RingSolver, RingSolution, VirtualRing};
@@ -286,6 +286,7 @@ impl ServeOutput {
 ///
 /// ```
 /// use fap_batch::Parallelism;
+/// use fap_obs::NoopRecorder;
 /// use fap_serve::{BatchServer, ServeRequest};
 /// use fap_ring::VirtualRing;
 ///
@@ -299,7 +300,8 @@ impl ServeOutput {
 ///         max_iterations: 3_000,
 ///     })
 ///     .collect();
-/// let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests);
+/// let output =
+///     BatchServer::new(Parallelism::Fixed(2)).serve_observed(&requests, &mut NoopRecorder);
 /// assert_eq!(output.ok_count(), 6);
 /// assert_eq!(output.aggregate.counter("serve.requests"), 6);
 /// # Ok::<(), fap_ring::RingError>(())
@@ -349,14 +351,8 @@ impl BatchServer {
         self.parallelism.threads_for(requests)
     }
 
-    /// Solves every request and fans the shard registries into the
-    /// aggregate. Equivalent to [`BatchServer::serve_observed`] with a
-    /// [`NoopRecorder`].
-    pub fn serve(&self, requests: &[ServeRequest]) -> ServeOutput {
-        self.serve_observed(requests, &mut NoopRecorder)
-    }
-
-    /// Solves every request across the work-stealing shard pool.
+    /// Solves every request across the work-stealing shard pool and fans
+    /// the shard registries into the aggregate.
     ///
     /// Responses come back in submission order and are bit-identical to
     /// solving the same requests sequentially (with the same warm-start
@@ -391,15 +387,6 @@ impl BatchServer {
         recorder: &mut dyn Recorder,
     ) -> ServeOutput {
         self.serve_inner(requests, Some(seeds), recorder)
-    }
-
-    /// [`BatchServer::serve_session_observed`] with a [`NoopRecorder`].
-    pub fn serve_session(
-        &self,
-        requests: &[ServeRequest],
-        seeds: &mut SessionSeeds,
-    ) -> ServeOutput {
-        self.serve_session_observed(requests, seeds, &mut NoopRecorder)
     }
 
     fn serve_inner(
@@ -823,13 +810,13 @@ impl ShardWorker {
                 ResourceDirectedOptimizer::new(StepSize::Fixed(*alpha))
                     .with_epsilon(*epsilon)
                     .with_max_iterations(*max_iterations)
-                    .run_observed_with_scratch(problem, initial, &mut self.econ_scratch, registry)
+                    .run_with_scratch(problem, initial, &mut self.econ_scratch, registry)
                     .map(ServeResponse::SingleFile)
                     .map_err(|e| ServeError { message: e.to_string() })
             }
             ServeRequest::MultiFile { problem, initial, alpha, epsilon, max_iterations, .. } => {
                 problem
-                .solve_observed(
+                .solve_with_scratch(
                     initial,
                     *alpha,
                     *epsilon,
@@ -845,7 +832,7 @@ impl ShardWorker {
                 RingSolver::new(*alpha)
                     .with_cost_delta_tolerance(*cost_delta_tolerance)
                     .with_max_iterations(*max_iterations)
-                    .solve_observed(ring, initial, registry)
+                    .solve(ring, initial, registry)
                     .map(ServeResponse::Ring)
                     .map_err(|e| ServeError { message: e.to_string() })
             }
@@ -864,7 +851,7 @@ impl ShardWorker {
 mod tests {
     use super::*;
     use fap_net::{topology, AccessPattern};
-    use fap_obs::{Value, SPAN_START};
+    use fap_obs::{NoopRecorder, Value, SPAN_START};
 
     fn single_file_request(seed: u64) -> ServeRequest {
         let graph = topology::ring(5, 1.0).unwrap();
@@ -920,10 +907,12 @@ mod tests {
     #[test]
     fn every_shard_count_matches_the_sequential_solve() {
         let requests = mixed_batch();
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(sequential.err_count(), 0);
         for shards in [2, 3, 8, 64] {
-            let sharded = BatchServer::new(Parallelism::Fixed(shards)).serve(&requests);
+            let sharded = BatchServer::new(Parallelism::Fixed(shards))
+                .serve_observed(&requests, &mut NoopRecorder);
             assert_eq!(
                 sequential.responses, sharded.responses,
                 "{shards} shards must be bit-identical to sequential"
@@ -936,15 +925,17 @@ mod tests {
         let server = BatchServer::new(Parallelism::Fixed(64));
         assert_eq!(server.shards_for(3), 3);
         assert_eq!(server.shards_for(0), 1);
-        let output = server.serve(&[ring_request(), ring_request()]);
+        let output = server.serve_observed(&[ring_request(), ring_request()], &mut NoopRecorder);
         assert_eq!(output.shard_metrics.len(), 2);
     }
 
     #[test]
     fn aggregate_counters_are_shard_count_independent() {
         let requests = mixed_batch();
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
-        let sharded = BatchServer::new(Parallelism::Fixed(4)).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
+        let sharded =
+            BatchServer::new(Parallelism::Fixed(4)).serve_observed(&requests, &mut NoopRecorder);
         for counter in
             ["serve.requests", "econ.iterations", "core.iterations", "ring.iterations"]
         {
@@ -965,7 +956,8 @@ mod tests {
     #[test]
     fn aggregate_is_the_sum_of_the_shards() {
         let requests = mixed_batch();
-        let output = BatchServer::new(Parallelism::Fixed(3)).serve(&requests);
+        let output =
+            BatchServer::new(Parallelism::Fixed(3)).serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(output.shard_metrics.len(), 3);
         let shard_sum: u64 =
             output.shard_metrics.iter().map(|r| r.counter("serve.requests")).sum();
@@ -999,19 +991,21 @@ mod tests {
         } else {
             panic!("expected a single-file request at index 3");
         }
-        let output = BatchServer::new(Parallelism::Fixed(3)).serve(&requests);
+        let output =
+            BatchServer::new(Parallelism::Fixed(3)).serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(output.err_count(), 1);
         assert!(output.responses[3].is_err());
         assert_eq!(output.aggregate.counter("serve.errors"), 1);
         // And the rest still match an all-good sequential solve of the
         // same (mutated) batch.
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(sequential.responses, output.responses);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let output = BatchServer::new(Parallelism::Auto).serve(&[]);
+        let output = BatchServer::new(Parallelism::Auto).serve_observed(&[], &mut NoopRecorder);
         assert!(output.responses.is_empty());
         assert_eq!(output.shard_metrics.len(), 1);
         assert_eq!(output.aggregate.counter("serve.requests"), 0);
@@ -1081,13 +1075,13 @@ mod tests {
     #[test]
     fn warm_responses_are_bit_identical_across_every_shard_count() {
         let requests = mixed_batch();
-        let warm_sequential =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm_sequential = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(warm_sequential.err_count(), 0);
         for shards in [1, 2, 4, 8] {
             let sharded = BatchServer::new(Parallelism::Fixed(shards))
                 .with_warm_start(true)
-                .serve(&requests);
+                .serve_observed(&requests, &mut NoopRecorder);
             assert_eq!(
                 warm_sequential.responses, sharded.responses,
                 "{shards} warm shards must be bit-identical to a warm sequential run"
@@ -1118,9 +1112,10 @@ mod tests {
                 }
             })
             .collect();
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
-        let warm =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let cold =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
+        let warm = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(warm.err_count(), 0);
         // Every request after the chain head runs seeded.
         assert_eq!(warm.aggregate.counter("serve.warm_starts"), requests.len() as u64 - 1);
@@ -1157,12 +1152,13 @@ mod tests {
     #[test]
     fn the_first_request_in_a_chain_is_never_seeded() {
         let requests = vec![single_file_request(42)];
-        let warm =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(warm.aggregate.counter("serve.warm_starts"), 0);
         assert_eq!(warm.aggregate.counter("econ.warm_starts"), 0);
         // And a singleton chain matches the cold server bit for bit.
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let cold =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(warm.responses, cold.responses);
     }
 
@@ -1193,9 +1189,9 @@ mod tests {
     fn an_empty_seed_store_matches_the_plain_warm_path_and_fills_up() {
         let requests = perturbed_stream(0);
         let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
-        let plain = server.serve(&requests);
+        let plain = server.serve_observed(&requests, &mut NoopRecorder);
         let mut seeds = SessionSeeds::new();
-        let session = server.serve_session(&requests, &mut seeds);
+        let session = server.serve_session_observed(&requests, &mut seeds, &mut NoopRecorder);
         assert_eq!(plain.responses, session.responses);
         assert_eq!(seeds.len(), 1, "one single-file chain converged into one seed");
     }
@@ -1204,15 +1200,17 @@ mod tests {
     fn session_seeds_warm_the_next_batch_including_its_chain_head() {
         let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
         let mut seeds = SessionSeeds::new();
-        let first = server.serve_session(&perturbed_stream(0), &mut seeds);
+        let first =
+            server.serve_session_observed(&perturbed_stream(0), &mut seeds, &mut NoopRecorder);
         // Batch 1: the chain head is cold, the other three are seeded.
         assert_eq!(first.aggregate.counter("serve.warm_starts"), 3);
         let second_requests = perturbed_stream(1);
-        let second = server.serve_session(&second_requests, &mut seeds);
+        let second = server.serve_session_observed(&second_requests, &mut seeds, &mut NoopRecorder);
         // Batch 2: even the head starts from batch 1's converged tail.
         assert_eq!(second.aggregate.counter("serve.warm_starts"), 4);
         // Seeding changed iterates, never optima: compare against cold.
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&second_requests);
+        let cold = BatchServer::new(Parallelism::Sequential)
+            .serve_observed(&second_requests, &mut NoopRecorder);
         assert!(
             second.aggregate.counter("econ.iterations")
                 < cold.aggregate.counter("econ.iterations"),
@@ -1293,11 +1291,15 @@ mod tests {
         let (ring_fp, mesh_fp) = (1, 2);
 
         let mut seeds = SessionSeeds::new();
-        let first = server.serve_session(&fingerprinted_stream(0, &ring, ring_fp), &mut seeds);
+        let first = server.serve_session_observed(
+            &fingerprinted_stream(0, &ring, ring_fp), &mut seeds, &mut NoopRecorder,
+        );
         assert_eq!(first.aggregate.counter("serve.warm_starts"), 3, "cold head");
         // λ-only drift on the same topology: the next batch's head is
         // seeded from the previous batch's tail.
-        let second = server.serve_session(&fingerprinted_stream(1, &ring, ring_fp), &mut seeds);
+        let second = server.serve_session_observed(
+            &fingerprinted_stream(1, &ring, ring_fp), &mut seeds, &mut NoopRecorder,
+        );
         assert_eq!(
             second.aggregate.counter("serve.warm_starts"),
             4,
@@ -1306,7 +1308,9 @@ mod tests {
         // A topology change — same dimension and solver parameters, so
         // the old structural key would have collided — must run its head
         // cold instead of starting from the ring's optimum.
-        let third = server.serve_session(&fingerprinted_stream(2, &mesh, mesh_fp), &mut seeds);
+        let third = server.serve_session_observed(
+            &fingerprinted_stream(2, &mesh, mesh_fp), &mut seeds, &mut NoopRecorder,
+        );
         assert_eq!(
             third.aggregate.counter("serve.warm_starts"),
             3,
@@ -1316,7 +1320,9 @@ mod tests {
         // seeds were never consulted.
         let mut fresh = SessionSeeds::new();
         let fresh_third =
-            server.serve_session(&fingerprinted_stream(2, &mesh, mesh_fp), &mut fresh);
+            server.serve_session_observed(
+                &fingerprinted_stream(2, &mesh, mesh_fp), &mut fresh, &mut NoopRecorder,
+            );
         assert_eq!(third.responses, fresh_third.responses);
     }
 
@@ -1331,17 +1337,21 @@ mod tests {
         // stranded.
         for batch in 0..20 {
             let fingerprint = 100 + batch as u64;
-            server.serve_session(&fingerprinted_stream(batch, &ring, fingerprint), &mut seeds);
+            server.serve_session_observed(
+                &fingerprinted_stream(batch, &ring, fingerprint), &mut seeds, &mut NoopRecorder,
+            );
             assert_eq!(seeds.len(), 1, "batch {batch} left a stale seed behind");
         }
         // Same-shape chains on two topologies in one batch keep both.
         let mut both = fingerprinted_stream(0, &ring, 1);
         both.extend(fingerprinted_stream(0, &mesh, 2));
-        server.serve_session(&both, &mut seeds);
+        server.serve_session_observed(&both, &mut seeds, &mut NoopRecorder);
         assert_eq!(seeds.len(), 2);
         // A later batch on one of them drops the other's seed, and its
         // head is still seeded from its own chain.
-        let next = server.serve_session(&fingerprinted_stream(1, &mesh, 2), &mut seeds);
+        let next = server.serve_session_observed(
+            &fingerprinted_stream(1, &mesh, 2), &mut seeds, &mut NoopRecorder,
+        );
         assert_eq!(next.aggregate.counter("serve.warm_starts"), 4);
         assert_eq!(seeds.len(), 1);
     }
@@ -1355,7 +1365,7 @@ mod tests {
             .map(|batch| {
                 BatchServer::new(Parallelism::Sequential)
                     .with_warm_start(true)
-                    .serve_session(batch, &mut reference_seeds)
+                    .serve_session_observed(batch, &mut reference_seeds, &mut NoopRecorder)
                     .responses
             })
             .collect();
@@ -1363,7 +1373,7 @@ mod tests {
             let server = BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true);
             let mut seeds = SessionSeeds::new();
             for (batch, expected) in batches.iter().zip(&reference) {
-                let output = server.serve_session(batch, &mut seeds);
+                let output = server.serve_session_observed(batch, &mut seeds, &mut NoopRecorder);
                 assert_eq!(
                     expected, &output.responses,
                     "{shards}-shard session must match the sequential session"
@@ -1377,8 +1387,8 @@ mod tests {
         let requests = perturbed_stream(0);
         let server = BatchServer::new(Parallelism::Sequential); // cold
         let mut seeds = SessionSeeds::new();
-        let session = server.serve_session(&requests, &mut seeds);
-        let plain = server.serve(&requests);
+        let session = server.serve_session_observed(&requests, &mut seeds, &mut NoopRecorder);
+        let plain = server.serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(plain.responses, session.responses);
         assert!(seeds.is_empty(), "a cold server must never write seeds");
         assert_eq!(session.aggregate.counter("serve.warm_starts"), 0);
@@ -1397,7 +1407,8 @@ mod tests {
     #[test]
     fn tracing_changes_no_response_bits_at_any_shard_count() {
         let requests = mixed_batch();
-        let plain = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let plain =
+            BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
         let mut reference_spans: Option<String> = None;
         for shards in [1, 2, 3, 4, 8, 64] {
             let mut traced = fap_obs::Telemetry::manual().with_tracing(true);
@@ -1486,14 +1497,14 @@ mod tests {
         if let ServeRequest::SingleFile { initial, .. } = &mut requests[1] {
             *initial = vec![0.9; 5]; // infeasible: validation rejects it
         }
-        let warm_sequential =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm_sequential = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(warm_sequential.err_count(), 1);
         assert!(warm_sequential.responses[1].is_err());
         for shards in [2, 4] {
             let sharded = BatchServer::new(Parallelism::Fixed(shards))
                 .with_warm_start(true)
-                .serve(&requests);
+                .serve_observed(&requests, &mut NoopRecorder);
             assert_eq!(warm_sequential.responses, sharded.responses);
         }
     }

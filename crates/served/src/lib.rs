@@ -14,7 +14,7 @@
 //!   chains within each batch exactly like one-shot
 //!   `fap serve --warm-start`, `session` additionally carries each chain's
 //!   converged allocation across batches through
-//!   [`SessionSeeds`](fap_serve::SessionSeeds), and `off` serves cold;
+//!   [`SessionSeeds`], and `off` serves cold;
 //! * the work-stealing [`BatchServer`] is constructed once and reused.
 //!
 //! ## The virtual clock and admission control
@@ -828,7 +828,7 @@ mod tests {
     use super::*;
     use fap_core::SingleFileProblem;
     use fap_net::{topology, AccessPattern};
-    use fap_obs::MetricsRegistry;
+    use fap_obs::{MetricsRegistry, NoopRecorder};
 
     /// A test parser: `batch` is an array of seeds, each becoming one
     /// single-file request over a shared 5-ring (every batch after the
@@ -843,7 +843,7 @@ mod tests {
             let graph = topology::ring(5, 1.0).map_err(|e| e.to_string())?;
             let costs = cache
                 .dense_mut()
-                .get_or_compute_observed(&graph, Parallelism::Sequential, recorder)
+                .get_or_compute(&graph, Parallelism::Sequential, recorder)
                 .map_err(|e| e.to_string())?;
             items
                 .iter()
@@ -1043,7 +1043,7 @@ mod tests {
                 .unwrap();
         let oneshot = BatchServer::new(Parallelism::Auto)
             .with_warm_start(true)
-            .serve(&requests);
+            .serve_observed(&requests, &mut NoopRecorder);
         let expected: Vec<Value> =
             oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
         let expected_json =

@@ -19,7 +19,7 @@ const WINDOW: f64 = 2_000.0;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 6;
     let graph = topology::ring(n, 1.0)?;
-    let costs = graph.shortest_path_matrix()?;
+    let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
     let mut rng = StdRng::seed_from_u64(17);
 
     let mut estimator = RollingEstimator::new(n, WINDOW, 0.5)?;

@@ -26,14 +26,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixed = fap::ring::RingSolver::new(0.1)
         .without_adaptation()
         .with_max_iterations(60)
-        .solve(&ring, &start)?;
+        .solve(&ring, &start, &mut NoopRecorder)?;
     for (i, cost) in fixed.cost_series.iter().enumerate().take(30) {
         println!("  iteration {i:>2}: cost {cost:.4}");
     }
     println!("  oscillation amplitude: {:.4}", fixed.oscillation_amplitude());
 
     println!("\nadaptive step decay — the paper's remedy:");
-    let adaptive = RingSolver::new(0.1).with_max_iterations(3_000).solve(&ring, &start)?;
+    let adaptive =
+        RingSolver::new(0.1).with_max_iterations(3_000).solve(&ring, &start, &mut NoopRecorder)?;
     println!(
         "  halted={} after {} iterations; alpha decayed {:.3} -> {:.4}",
         adaptive.converged,

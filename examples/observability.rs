@@ -1,10 +1,13 @@
 //! Observability: recording a solve, a chaos run and a parallel kernel.
 //!
-//! One [`Telemetry`] sink collects everything a run emits — counters,
-//! gauges, histograms and the structured event stream — and exports it as
-//! JSONL (the format `fap report` digests) or as a human-readable summary
-//! table. Everything here runs on virtual time (iterations and rounds), so
-//! rerunning this example prints byte-identical telemetry.
+//! Every entry point takes its recorder as the last argument. Here one
+//! [`Telemetry`] sink per run collects everything the run emits —
+//! counters, gauges, histograms and the structured event stream — and
+//! exports it as JSONL (the format `fap report` digests) or as a
+//! human-readable summary table; passing `&mut NoopRecorder` instead
+//! records nothing and returns the same bits. Everything here runs on
+//! virtual time (iterations and rounds), so rerunning this example prints
+//! byte-identical telemetry.
 //!
 //! ```text
 //! cargo run --example observability
@@ -23,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut solver_telemetry = Telemetry::manual();
     let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
         .with_epsilon(1e-3)
-        .run_observed(&problem, &[0.8, 0.1, 0.1, 0.0], &mut solver_telemetry)?;
+        .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut solver_telemetry)?;
     println!("solver: converged = {} after {} iterations", solution.converged, solution.iterations);
     println!("{}", solver_telemetry.summary());
 
@@ -35,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = SimRun::new(&problem, ExchangeScheme::Broadcast, 0.19)
         .with_epsilon(1e-3)
         .with_chaos(plan)
-        .run_observed(&[0.8, 0.1, 0.1, 0.0], &mut sim_telemetry)?;
+        .run(&[0.8, 0.1, 0.1, 0.0], &mut sim_telemetry)?;
     println!(
         "sim: converged = {} after {} rounds, {} reports dropped",
         report.converged, report.rounds, report.faults.dropped
@@ -44,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. A parallel kernel with chunk timing. Wall-clock measurements only
     //    happen because this recorder is enabled — with a `NoopRecorder`
-    //    (the default everywhere) not even `Instant::now` is called.
+    //    not even `Instant::now` is called.
     let big = fap::net::topology::torus(6, 8, 1.0)?;
     let mut kernel_telemetry = Telemetry::wall();
-    let matrix = big.shortest_path_matrix_observed(Parallelism::Auto, &mut kernel_telemetry)?;
+    let matrix = big.shortest_path_matrix(Parallelism::Auto, &mut kernel_telemetry)?;
     println!(
         "kernel: {}×{} cost matrix over {:?} threads",
         big.node_count(),
@@ -60,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(matrix.as_matrix().as_slice().iter().all(|c| c.is_finite()));
 
-    // 4. The JSONL export — what `fap run --metrics-out` writes and
+    // 4. The JSONL export — what `fap solve --metrics-out` writes and
     //    `fap report` reads. Deterministic for the seeded runs above.
     let jsonl = sim_telemetry.to_jsonl();
     let first_lines: Vec<&str> = jsonl.lines().take(3).collect();

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
         .with_boundary(BoundaryRule::Unconstrained)
         .with_epsilon(1e-3)
-        .run(&problem, &[0.8, 0.1, 0.1, 0.0])?;
+        .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 
     println!("converged: {} after {} iterations", solution.converged, solution.iterations);
     println!("cost per iteration (the Figure-3 convergence profile):");

@@ -30,7 +30,7 @@
 //!   multi-file models, closed-form reference solver, integer baselines,
 //!   record rounding, adaptive reallocation, and the hierarchical
 //!   cluster-solve-refine pipeline
-//!   ([`solve_hierarchical`](fap_core::hierarchical::solve_hierarchical))
+//!   ([`solve_hierarchical_multilevel`](fap_core::hierarchical::solve_hierarchical_multilevel))
 //!   that rides the landmark oracle past dense-matrix scale;
 //! * [`ring`] — the §7 multi-copy virtual-ring extension with its
 //!   oscillation-aware solver;
@@ -71,7 +71,7 @@
 //! let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0)?;
 //!
 //! let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
-//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0])?;
+//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 //!
 //! assert!(solution.converged);
 //! assert!((solution.final_cost() - 1.8).abs() < 1e-3); // optimal cost

@@ -16,6 +16,7 @@ use std::cell::Cell;
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch, MultiFileSolution};
 use fap::net::{topology, AccessPattern};
+use fap::obs::NoopRecorder;
 
 thread_local! {
     // Per-thread, so the test harness's concurrently running tests never
@@ -83,7 +84,9 @@ fn solve_n(
 ) -> MultiFileSolution {
     // ε far below attainability: the solve always pays `iterations` steps.
     problem
-        .solve_with_scratch(initial, 0.002, 1e-300, iterations, Parallelism::Sequential, scratch)
+        .solve_with_scratch(
+            initial, 0.002, 1e-300, iterations, Parallelism::Sequential, scratch, &mut NoopRecorder,
+        )
         .expect("stable solve")
 }
 
@@ -166,12 +169,14 @@ fn cache_hits_are_allocation_free() {
 
     let graph = topology::torus(3, 4, 1.0).expect("valid torus");
     let mut cache = CostMatrixCache::new();
-    let fresh = graph.shortest_path_matrix().expect("connected");
-    cache.get_or_compute(&graph, Parallelism::Sequential).expect("connected");
+    let fresh =
+        graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).expect("connected");
+    cache.get_or_compute(&graph, Parallelism::Sequential, &mut NoopRecorder).expect("connected");
 
     let (hit_allocs, ()) = counted(|| {
         for _ in 0..100 {
-            let cached = cache.get_or_compute(&graph, Parallelism::Sequential).expect("cached");
+            let cached = cache.get_or_compute(&graph, Parallelism::Sequential, &mut NoopRecorder)
+                .expect("cached");
             assert!(cached.as_matrix() == fresh.as_matrix());
         }
     });
@@ -179,7 +184,7 @@ fn cache_hits_are_allocation_free() {
     assert_eq!(hit_allocs, 0, "cache hits allocated {hit_allocs} times over 100 lookups");
     assert_eq!(
         cache
-            .get_or_compute(&graph, Parallelism::Sequential)
+            .get_or_compute(&graph, Parallelism::Sequential, &mut NoopRecorder)
             .expect("cached")
             .as_matrix(),
         fresh.as_matrix(),
@@ -239,7 +244,7 @@ fn recording_solve_only_grows_preallocated_buffers() {
     let observe_n = |iterations: usize, scratch: &mut MultiFileScratch| {
         let mut telemetry = Telemetry::manual().with_event_capacity(CAPACITY);
         let solution = problem
-            .solve_observed(
+            .solve_with_scratch(
                 &initial,
                 0.002,
                 1e-300,

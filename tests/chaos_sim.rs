@@ -39,7 +39,7 @@ fn same_seed_is_deterministic() {
             .with_epsilon(FIG3_EPSILON)
             .with_max_rounds(10_000)
             .with_chaos(hostile_plan(42))
-            .run(&FIG3_START)
+            .run(&FIG3_START, &mut NoopRecorder)
             .unwrap()
     };
     let a = run();
@@ -61,7 +61,7 @@ fn different_seeds_diverge() {
             .with_epsilon(FIG3_EPSILON)
             .with_max_rounds(10_000)
             .with_chaos(hostile_plan(seed))
-            .run(&FIG3_START)
+            .run(&FIG3_START, &mut NoopRecorder)
             .unwrap()
     };
     assert_ne!(run(1).faults, run(2).faults);
@@ -83,7 +83,7 @@ fn executors_agree_without_faults() {
         .with_epsilon(FIG3_EPSILON)
         .with_max_rounds(10_000)
         .with_chaos(ChaosPlan::new(7)) // seed is irrelevant: zero-fault plan
-        .run(&FIG3_START)
+        .run(&FIG3_START, &mut NoopRecorder)
         .unwrap();
 
     assert!(round.converged && threaded.converged && sim.converged);
@@ -124,8 +124,8 @@ fn event_driven_engine_matches_round_synchronous_without_faults() {
                 .with_epsilon(FIG3_EPSILON)
                 .with_max_rounds(10_000)
                 .with_chaos(ChaosPlan::new(seed)); // zero-fault, any seed
-            let event_driven = sim.run(&FIG3_START).unwrap();
-            let lock_step = sim.run_round_synchronous(&FIG3_START).unwrap();
+            let event_driven = sim.run(&FIG3_START, &mut NoopRecorder).unwrap();
+            let lock_step = sim.run_round_synchronous(&FIG3_START, &mut NoopRecorder).unwrap();
             assert_eq!(
                 event_driven, lock_step,
                 "engines disagree (scheme {scheme:?}, seed {seed})"
@@ -150,8 +150,8 @@ fn event_driven_engine_matches_round_synchronous_under_chaos() {
                 .with_epsilon(FIG3_EPSILON)
                 .with_max_rounds(10_000)
                 .with_chaos(hostile_plan(seed));
-            let event_driven = sim.run(&FIG3_START).unwrap();
-            let lock_step = sim.run_round_synchronous(&FIG3_START).unwrap();
+            let event_driven = sim.run(&FIG3_START, &mut NoopRecorder).unwrap();
+            let lock_step = sim.run_round_synchronous(&FIG3_START, &mut NoopRecorder).unwrap();
             assert_eq!(
                 event_driven, lock_step,
                 "engines disagree under chaos (scheme {scheme:?}, seed {seed})"

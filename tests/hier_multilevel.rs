@@ -14,8 +14,8 @@ use fap_bench::scale::{
 use fap::batch::Parallelism;
 use fap::obs::Telemetry;
 use fap_core::hierarchical::{
-    capped_clusters, solve_hierarchical, solve_hierarchical_multilevel,
-    solve_hierarchical_multilevel_observed, HierarchicalSolution,
+    capped_clusters, solve_hierarchical_multilevel, solve_hierarchical_multilevel_observed,
+    HierarchicalSolution,
 };
 
 const N: usize = 512;
@@ -27,21 +27,27 @@ fn pipeline() -> (Graph, AccessPattern, f64, LandmarkOracle) {
     (graph, pattern, mu, oracle)
 }
 
+/// The flat cluster-solve-refine pipeline's bits on the pinned mesh,
+/// recorded from the dedicated flat entry point before depth became an
+/// argument: its estimated cost and a rotate-xor fold of its allocation.
+const FLAT_COST_BITS: u64 = 0x402d_a2db_f892_a2d2;
+const FLAT_ALLOCATION_FOLD: u64 = 0x3c6d_302d_99a2_be14;
+
+fn allocation_fold(x: &[f64]) -> u64 {
+    x.iter().fold(0, |h, v| h.rotate_left(5) ^ v.to_bits())
+}
+
 #[test]
 fn depth_one_is_bit_identical_to_the_flat_solver_on_the_pinned_mesh() {
     let (_, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
     let config = sparse_hierarchical_config(&pattern);
-    let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
     let deep =
         solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 1).unwrap();
     assert_eq!(deep.levels, 1);
-    assert_eq!(flat.refine_rounds, deep.refine_rounds);
-    assert_eq!(flat.inner_iterations, deep.inner_iterations);
-    assert_eq!(flat.estimated_cost.to_bits(), deep.estimated_cost.to_bits());
-    for (a, b) in flat.allocation.iter().zip(&deep.allocation) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
+    assert_eq!((deep.refine_rounds, deep.inner_iterations), (8, 8080));
+    assert_eq!(deep.estimated_cost.to_bits(), FLAT_COST_BITS);
+    assert_eq!(allocation_fold(&deep.allocation), FLAT_ALLOCATION_FOLD);
     // The sweep's depth policy picks the flat path at this size, so the
     // committed BENCH_scale checksums are the flat solver's bits.
     assert_eq!(sparse_levels(N), 1);
@@ -52,7 +58,8 @@ fn deeper_trees_stay_feasible_deterministic_and_competitive() {
     let (graph, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
     let config = sparse_hierarchical_config(&pattern);
-    let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
+    let flat =
+        solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 1).unwrap();
     for levels in [2usize, 3] {
         let deep =
             solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, levels)

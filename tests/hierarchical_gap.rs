@@ -9,7 +9,7 @@ use fap::prelude::*;
 use fap_bench::scale::{
     sparse_hierarchical_config, sparse_landmarks, sparse_workload, scale_graph, SPARSE_SEED,
 };
-use fap_core::hierarchical::solve_hierarchical;
+use fap_core::hierarchical::solve_hierarchical_multilevel;
 
 const N: usize = 512;
 
@@ -24,9 +24,8 @@ fn pipeline() -> (Graph, AccessPattern, f64, LandmarkOracle) {
 fn gap_on_the_fixed_mesh_stays_within_the_committed_bound() {
     let (graph, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
-    let sparse =
-        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &sparse_hierarchical_config(&pattern))
-            .unwrap();
+    let config = sparse_hierarchical_config(&pattern);
+    let sparse = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 1).unwrap();
     let total: f64 = sparse.allocation.iter().sum();
     assert!((total - 1.0).abs() < 1e-9, "allocation sums to {total}");
 
@@ -52,8 +51,8 @@ fn the_pipeline_is_bit_deterministic_on_the_pinned_mesh() {
     let (_, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
     let config = sparse_hierarchical_config(&pattern);
-    let a = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
-    let b = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
+    let a = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 1).unwrap();
+    let b = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, 1).unwrap();
     assert_eq!(a.refine_rounds, b.refine_rounds);
     assert_eq!(a.estimated_cost.to_bits(), b.estimated_cost.to_bits());
     for (x, y) in a.allocation.iter().zip(&b.allocation) {
@@ -72,8 +71,8 @@ fn refinement_does_not_worsen_the_true_objective_on_the_pinned_mesh() {
     let cfg = sparse_hierarchical_config(&pattern);
     let base_cfg = HierarchicalConfig { max_refine_rounds: 0, ..cfg.clone() };
     let base =
-        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &base_cfg).unwrap();
-    let refined = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &base_cfg, 1).unwrap();
+    let refined = solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
     let base_true = dense.cost_of(&base.allocation).unwrap();
     let refined_true = dense.cost_of(&refined.allocation).unwrap();
     assert!(

@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn bounds_bracket_the_true_distance(seed in 0u64..300, n in 4usize..28, k in 2usize..6) {
         let (graph, oracle) = random_oracle_setup(seed, n, k);
-        let truth = graph.shortest_path_matrix().unwrap();
+        let truth = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         for u in 0..n {
             for v in 0..n {
                 let (u, v) = (NodeId::new(u), NodeId::new(v));

@@ -13,6 +13,7 @@
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch};
 use fap::net::{topology, AccessPattern, Graph};
+use fap::obs::NoopRecorder;
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
@@ -33,17 +34,18 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 #[test]
 fn all_pairs_parallel_is_bit_identical() {
     for (label, graph) in topologies() {
-        let sequential = graph.shortest_path_matrix().unwrap();
+        let sequential =
+            graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         for threads in THREADS {
             let parallel =
-                graph.shortest_path_matrix_parallel(Parallelism::Fixed(threads)).unwrap();
+                graph.shortest_path_matrix(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap();
             assert_eq!(
                 bits(sequential.as_matrix().as_slice()),
                 bits(parallel.as_matrix().as_slice()),
                 "{label} with {threads} threads"
             );
         }
-        let auto = graph.shortest_path_matrix_parallel(Parallelism::Auto).unwrap();
+        let auto = graph.shortest_path_matrix(Parallelism::Auto, &mut NoopRecorder).unwrap();
         assert_eq!(
             bits(sequential.as_matrix().as_slice()),
             bits(auto.as_matrix().as_slice()),
@@ -82,10 +84,14 @@ fn multi_file_parallel_solve_is_bit_identical() {
         for files in [1usize, 7, 8] {
             let problem = problem_on(&graph, files, 77);
             let initial = tilted_initial(files, n);
-            let sequential = problem.solve(&initial, 0.01, 1e-6, 400).unwrap();
+            let sequential = problem
+                .solve(&initial, 0.01, 1e-6, 400, Parallelism::Sequential, &mut NoopRecorder)
+                .unwrap();
             for threads in THREADS {
                 let parallel = problem
-                    .solve_parallel(&initial, 0.01, 1e-6, 400, Parallelism::Fixed(threads))
+                    .solve(
+                        &initial, 0.01, 1e-6, 400, Parallelism::Fixed(threads), &mut NoopRecorder,
+                    )
                     .unwrap();
                 assert_eq!(sequential.iterations, parallel.iterations, "{label} M={files}");
                 assert_eq!(sequential.converged, parallel.converged, "{label} M={files}");
@@ -114,12 +120,14 @@ fn recording_telemetry_keeps_parallel_solves_bit_identical() {
     let graph = topology::torus(5, 7, 1.5).unwrap();
     let problem = problem_on(&graph, 7, 77);
     let initial = tilted_initial(7, graph.node_count());
-    let sequential = problem.solve(&initial, 0.01, 1e-6, 400).unwrap();
+    let sequential = problem
+        .solve(&initial, 0.01, 1e-6, 400, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
     for threads in THREADS {
         let mut telemetry = fap::obs::Telemetry::manual();
         let mut scratch = MultiFileScratch::new();
         let observed = problem
-            .solve_observed(
+            .solve_with_scratch(
                 &initial,
                 0.01,
                 1e-6,
@@ -152,17 +160,37 @@ fn scratch_reuse_across_shapes_is_bit_identical() {
     let small_init = tilted_initial(2, 11);
     let large_init = tilted_initial(9, 11);
 
-    let fresh_small = small.solve(&small_init, 0.02, 1e-6, 300).unwrap();
-    let fresh_large = large.solve(&large_init, 0.02, 1e-6, 300).unwrap();
+    let fresh_small = small
+        .solve(&small_init, 0.02, 1e-6, 300, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
+    let fresh_large = large
+        .solve(&large_init, 0.02, 1e-6, 300, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
 
     let mut scratch = MultiFileScratch::new();
     for _ in 0..2 {
         let s = small
-            .solve_with_scratch(&small_init, 0.02, 1e-6, 300, Parallelism::Fixed(3), &mut scratch)
+            .solve_with_scratch(
+                &small_init,
+                0.02,
+                1e-6,
+                300,
+                Parallelism::Fixed(3),
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(fresh_small, s);
         let l = large
-            .solve_with_scratch(&large_init, 0.02, 1e-6, 300, Parallelism::Fixed(2), &mut scratch)
+            .solve_with_scratch(
+                &large_init,
+                0.02,
+                1e-6,
+                300,
+                Parallelism::Fixed(2),
+                &mut scratch,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(fresh_large, l);
     }
@@ -181,10 +209,11 @@ fn parallel_error_reporting_matches_sequential() {
     for i in 6..11usize {
         graph.add_link(fap::net::NodeId::new(i), fap::net::NodeId::new(i + 1), 1.0).unwrap();
     }
-    let sequential = graph.shortest_path_matrix().unwrap_err();
+    let sequential =
+        graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap_err();
     for threads in THREADS {
         let parallel =
-            graph.shortest_path_matrix_parallel(Parallelism::Fixed(threads)).unwrap_err();
+            graph.shortest_path_matrix(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap_err();
         assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),

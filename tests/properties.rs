@@ -35,7 +35,7 @@ proptest! {
             .with_epsilon(1e-6)
             .with_recorded_allocations()
             .with_max_iterations(100_000)
-            .run(&p, &random_start(seed, n))
+            .run(&p, &random_start(seed, n), &mut NoopRecorder)
             .unwrap();
         prop_assert!(s.trace.is_cost_monotone_decreasing(1e-9));
         for x in s.trace.recorded_allocations() {
@@ -55,7 +55,7 @@ proptest! {
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.04))
                 .with_epsilon(1e-8)
                 .with_max_iterations(300_000)
-                .run(&p, &random_start(start_seed, n))
+                .run(&p, &random_start(start_seed, n), &mut NoopRecorder)
                 .unwrap();
             prop_assert!(s.converged);
             prop_assert!((s.final_cost() - exact.cost).abs() < 1e-4,
@@ -77,7 +77,7 @@ proptest! {
         let b = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-6)
             .with_max_iterations(100_000)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         prop_assert_eq!(a.allocation, b.allocation);
         prop_assert_eq!(a.rounds, b.iterations);
@@ -91,7 +91,7 @@ proptest! {
         let s = ResourceDirectedOptimizer::new(StepSize::Dynamic { safety: 0.8, max: 5.0 })
             .with_epsilon(1e-7)
             .with_max_iterations(50_000)
-            .run(&p, &random_start(seed, n))
+            .run(&p, &random_start(seed, n), &mut NoopRecorder)
             .unwrap();
         prop_assert!(s.converged);
         prop_assert!(s.trace.is_cost_monotone_decreasing(1e-8));
@@ -129,7 +129,7 @@ proptest! {
             .with_epsilon(1e-6)
             .with_max_rounds(2_000)
             .with_chaos(plan)
-            .run(&random_start(seed, n))
+            .run(&random_start(seed, n), &mut NoopRecorder)
             .unwrap();
         for it in &r.iterates {
             let sum: f64 = it.iter().sum();
@@ -158,7 +158,7 @@ proptest! {
             .with_epsilon(1e-6)
             .with_max_rounds(2_000)
             .with_chaos(plan)
-            .run(&random_start(seed, n))
+            .run(&random_start(seed, n), &mut NoopRecorder)
             .unwrap();
         let records = r.trace.records();
         for k in 0..r.rounds {
@@ -184,7 +184,7 @@ proptest! {
         start[seed as usize % n] = copies;
         let s = RingSolver::new(0.05)
             .with_max_iterations(400)
-            .solve(&ring, &start)
+            .solve(&ring, &start, &mut NoopRecorder)
             .unwrap();
         let total: f64 = s.final_allocation.iter().sum();
         prop_assert!((total - copies).abs() < 1e-6);

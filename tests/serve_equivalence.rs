@@ -61,10 +61,12 @@ fn mixed_batch(requests: usize) -> Vec<ServeRequest> {
 #[test]
 fn sharded_serving_is_bit_identical_to_sequential() {
     let requests = mixed_batch(12);
-    let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+    let sequential =
+        BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
     assert_eq!(sequential.err_count(), 0, "the workload must solve cleanly");
     for shards in [1usize, 2, 8] {
-        let sharded = BatchServer::new(Parallelism::Fixed(shards)).serve(&requests);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards))
+            .serve_observed(&requests, &mut NoopRecorder);
         // Contiguous chunking caps the worker count at `shards` (it may use
         // fewer when the batch doesn't split evenly).
         assert!((1..=shards).contains(&sharded.shard_metrics.len()));
@@ -78,9 +80,11 @@ fn sharded_serving_is_bit_identical_to_sequential() {
 #[test]
 fn aggregate_metrics_are_shard_count_independent() {
     let requests = mixed_batch(12);
-    let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+    let sequential =
+        BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut NoopRecorder);
     for shards in [2usize, 8] {
-        let sharded = BatchServer::new(Parallelism::Fixed(shards)).serve(&requests);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards))
+            .serve_observed(&requests, &mut NoopRecorder);
         for counter in ["serve.requests", "econ.iterations", "core.iterations", "ring.iterations"]
         {
             assert!(sequential.aggregate.counter(counter) > 0, "{counter} never recorded");
@@ -109,15 +113,15 @@ fn warm_started_serving_is_bit_identical_for_every_shard_count() {
     // of the work-stealing scheduler, so the seed sequence — and therefore
     // every response — must not depend on how many workers steal the tasks.
     let requests = mixed_batch(12);
-    let warm_sequential =
-        BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+    let warm_sequential = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+        .serve_observed(&requests, &mut NoopRecorder);
     assert_eq!(warm_sequential.err_count(), 0, "the workload must solve cleanly");
     // Four single-file links and four multi-file links per chain head: six
     // seeded solves. Ring requests have no warm path and stay singletons.
     assert_eq!(warm_sequential.aggregate.counter("serve.warm_starts"), 6);
     for shards in [1usize, 2, 4, 8] {
-        let sharded =
-            BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true).serve(&requests);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(
             warm_sequential.responses, sharded.responses,
             "{shards} warm shards must return the sequential responses bit for bit"

@@ -20,7 +20,8 @@ fn dense_provider_single_file_is_bit_identical_to_the_matrix_path() {
     for seed in [3, 17, 99] {
         let (graph, pattern, mu) = workload(24, seed);
         let legacy = SingleFileProblem::mm1(&graph, &pattern, mu, 1.0).unwrap();
-        let matrix = graph.shortest_path_matrix().unwrap();
+        let matrix =
+            graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let generic =
             SingleFileProblem::mm1_with_provider(&matrix, &pattern, mu, 1.0).unwrap();
         for (a, b) in legacy.access_costs().iter().zip(generic.access_costs()) {
@@ -30,8 +31,8 @@ fn dense_provider_single_file_is_bit_identical_to_the_matrix_path() {
         let solver = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-8)
             .with_max_iterations(200_000);
-        let x = solver.run(&legacy, &start).unwrap();
-        let y = solver.run(&generic, &start).unwrap();
+        let x = solver.run(&legacy, &start, &mut NoopRecorder).unwrap();
+        let y = solver.run(&generic, &start, &mut NoopRecorder).unwrap();
         for (a, b) in x.allocation.iter().zip(&y.allocation) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -46,7 +47,7 @@ fn dense_provider_multi_file_solves_are_bit_identical() {
     let offered: f64 = patterns.iter().map(AccessPattern::total_rate).sum();
     let mu = 10.0 * offered / 18.0;
     let legacy = MultiFileProblem::mm1(&graph, &patterns, mu, 1.0).unwrap();
-    let matrix = graph.shortest_path_matrix().unwrap();
+    let matrix = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
     let generic = MultiFileProblem::mm1_heterogeneous_with_provider(
         &matrix,
         &patterns,
@@ -55,8 +56,10 @@ fn dense_provider_multi_file_solves_are_bit_identical() {
     )
     .unwrap();
     let initial = vec![vec![1.0 / 18.0; 18]; 4];
-    let a = legacy.solve(&initial, 0.002, 1e-9, 500).unwrap();
-    let b = generic.solve(&initial, 0.002, 1e-9, 500).unwrap();
+    let a = legacy.solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
+    let b = generic.solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
     assert_eq!(a, b, "provider-generic multi-file solve must match the matrix path");
 }
 
@@ -64,9 +67,9 @@ fn dense_provider_multi_file_solves_are_bit_identical() {
 fn substrate_cache_dense_backend_returns_the_exact_matrix() {
     let (graph, pattern, _) = workload(16, 23);
     let mut cache = SubstrateCache::new();
-    let matrix = graph.shortest_path_matrix().unwrap();
+    let matrix = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
     let provider = cache
-        .get_or_build(&graph, CostBackend::Dense, Parallelism::Sequential)
+        .get_or_build(&graph, CostBackend::Dense, Parallelism::Sequential, &mut NoopRecorder)
         .unwrap();
     assert_eq!(provider.node_count(), 16);
     let mut row = vec![0.0; 16];
@@ -97,9 +100,9 @@ fn cli_dense_backend_scenarios_match_the_legacy_solve() {
     explicit.cost_backend = CostBackend::Dense;
     let implicit: fap_cli::Scenario =
         serde_json::from_str(&fap_cli::Scenario::example().to_json()).unwrap();
-    let a = fap_cli::solve(&fap_cli::Scenario::example()).unwrap();
-    let b = fap_cli::solve(&explicit).unwrap();
-    let c = fap_cli::solve(&implicit).unwrap();
+    let a = fap_cli::solve(&fap_cli::Scenario::example(), &mut NoopRecorder).unwrap();
+    let b = fap_cli::solve(&explicit, &mut NoopRecorder).unwrap();
+    let c = fap_cli::solve(&implicit, &mut NoopRecorder).unwrap();
     for ((x, y), z) in a.allocation.iter().zip(&b.allocation).zip(&c.allocation) {
         assert_eq!(x.to_bits(), y.to_bits());
         assert_eq!(x.to_bits(), z.to_bits());
@@ -114,7 +117,7 @@ fn oracle_with_every_node_a_landmark_matches_dense_access_costs() {
     // systemwide access costs collapse to the exact definition.
     let (graph, pattern, _) = workload(12, 41);
     let oracle = LandmarkOracle::build(&graph, 12, 5).unwrap();
-    let matrix = graph.shortest_path_matrix().unwrap();
+    let matrix = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
     let est = oracle.systemwide_access_costs(&pattern);
     let exact = matrix.systemwide_access_costs(&pattern);
     for (i, (a, b)) in est.iter().zip(&exact).enumerate() {

@@ -3,13 +3,13 @@
 //! The observability contract this PR pins down: recording a run must not
 //! perturb it, and everything exported for a seeded run must be
 //! byte-reproducible. These tests drive the same code paths as
-//! `fap run --metrics-out` and `fap sim --metrics-out` (via `fap-cli`) and
+//! `fap solve --metrics-out` and `fap sim --metrics-out` (via `fap-cli`) and
 //! compare whole JSONL exports as strings.
 
 use fap::obs::jsonl::{parse_line, Scalar};
-use fap::obs::{JsonlSink, Telemetry};
+use fap::obs::{JsonlSink, NoopRecorder, Telemetry};
 use fap::runtime::ChaosPlan;
-use fap_cli::{chaos_sim, chaos_sim_observed, solve, solve_observed, summarize, Scenario};
+use fap_cli::{chaos_sim, solve, summarize, Scenario};
 
 fn chaos_plan(seed: u64) -> ChaosPlan {
     ChaosPlan::new(seed)
@@ -21,7 +21,7 @@ fn chaos_plan(seed: u64) -> ChaosPlan {
 
 fn sim_jsonl(seed: u64) -> String {
     let mut telemetry = Telemetry::manual();
-    chaos_sim_observed(&Scenario::example(), chaos_plan(seed), &mut telemetry).unwrap();
+    chaos_sim(&Scenario::example(), chaos_plan(seed), &mut telemetry).unwrap();
     telemetry.to_jsonl()
 }
 
@@ -37,22 +37,23 @@ fn two_seeded_sim_runs_export_byte_identical_jsonl() {
 fn two_solver_runs_export_byte_identical_jsonl() {
     let run = || {
         let mut telemetry = Telemetry::manual();
-        let output = solve_observed(&Scenario::example(), &mut telemetry).unwrap();
+        let output = solve(&Scenario::example(), &mut telemetry).unwrap();
         (output, telemetry.to_jsonl())
     };
     let (output_a, jsonl_a) = run();
     let (output_b, jsonl_b) = run();
     assert_eq!(output_a, output_b);
     assert_eq!(jsonl_a, jsonl_b);
-    assert_eq!(output_a, solve(&Scenario::example()).unwrap(), "recording must not perturb");
+    let plain = solve(&Scenario::example(), &mut NoopRecorder).unwrap();
+    assert_eq!(output_a, plain, "recording must not perturb");
 }
 
 #[test]
 fn recording_does_not_perturb_the_sim() {
-    let plain = chaos_sim(&Scenario::example(), chaos_plan(11)).unwrap();
+    let plain = chaos_sim(&Scenario::example(), chaos_plan(11), &mut NoopRecorder).unwrap();
     let mut telemetry = Telemetry::manual();
     let observed =
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+        chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     assert_eq!(plain, observed);
     // The derived fault summary and the exported counters are one stream.
     assert_eq!(telemetry.registry().counter("sim.dropped"), observed.faults.dropped);
@@ -63,7 +64,7 @@ fn recording_does_not_perturb_the_sim() {
 fn every_exported_line_parses_and_the_summary_agrees() {
     let mut telemetry = Telemetry::manual();
     let report =
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+        chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     let jsonl = telemetry.to_jsonl();
 
     let mut event_lines = 0usize;
@@ -96,7 +97,7 @@ fn streaming_export_is_byte_identical_to_the_buffered_one() {
     let buffered = sim_jsonl(11);
     for flush_every in [1usize, 7, 4096] {
         let mut sink = JsonlSink::new(Vec::new(), flush_every);
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
+        chaos_sim(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
         let streamed = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert_eq!(
             streamed, buffered,
@@ -108,7 +109,7 @@ fn streaming_export_is_byte_identical_to_the_buffered_one() {
 #[test]
 fn virtual_time_stamps_events_with_rounds() {
     let mut telemetry = Telemetry::manual();
-    chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+    chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     let jsonl = telemetry.to_jsonl();
     // Round events carry their own round number; the virtual timestamp must
     // agree with it — wall time never leaks into a seeded sim export.

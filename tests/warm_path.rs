@@ -29,11 +29,12 @@ proptest! {
         n in 3usize..12,
     ) {
         let graph = topology::random_connected(n, 0.4, 0.5..5.0, seed).unwrap();
-        let fresh = graph.shortest_path_matrix().unwrap();
+        let fresh = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let mut cache = CostMatrixCache::new();
         // Miss, then hit: both lookups must return the fresh bits.
         for _ in 0..2 {
-            let cached = cache.get_or_compute(&graph, Parallelism::Sequential).unwrap();
+            let cached =
+                cache.get_or_compute(&graph, Parallelism::Sequential, &mut NoopRecorder).unwrap();
             prop_assert_eq!(cached.as_matrix(), fresh.as_matrix());
         }
         prop_assert_eq!(cache.hits(), 1);
@@ -69,7 +70,7 @@ proptest! {
         let initial = vec![1.0 / n as f64; n];
         let mut scratch = OptimizerScratch::new();
         let cold = optimizer
-            .run_with_scratch(&problem, &initial, &mut scratch)
+            .run_with_scratch(&problem, &initial, &mut scratch, &mut NoopRecorder)
             .unwrap();
         prop_assert!(cold.converged);
 
@@ -82,7 +83,7 @@ proptest! {
         }
         scratch.start_from(&drifted);
         let warm = optimizer
-            .run_with_scratch(&problem, &initial, &mut scratch)
+            .run_with_scratch(&problem, &initial, &mut scratch, &mut NoopRecorder)
             .unwrap();
         prop_assert!(warm.converged);
         prop_assert!(
@@ -116,13 +117,13 @@ fn cached_warm_sharded_serving_matches_sequential() {
             }
         })
         .collect();
-    let warm_sequential =
-        BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+    let warm_sequential = BatchServer::new(Parallelism::Sequential).with_warm_start(true)
+        .serve_observed(&requests, &mut NoopRecorder);
     assert_eq!(warm_sequential.err_count(), 0);
     assert!(warm_sequential.aggregate.counter("serve.warm_starts") > 0);
     for shards in [1usize, 2, 4, 8] {
-        let sharded =
-            BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true).serve(&requests);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true)
+            .serve_observed(&requests, &mut NoopRecorder);
         assert_eq!(
             warm_sequential.responses, sharded.responses,
             "{shards} warm shards must match warm sequential bit for bit"
