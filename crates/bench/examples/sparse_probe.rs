@@ -1,7 +1,7 @@
 //! Per-point probe for the sparse sweep: runs [`fap_bench::scale::bench_sparse`]
 //! — the exact gated bench path, including the ≤5% utility-gap and 1 GiB
 //! substrate assertions — one `N` at a time, so a slow or failing point can
-//! be attributed without waiting for the full `fap bench-scale` grid.
+//! be attributed without waiting for the full `fap bench scale` grid.
 //!
 //! ```text
 //! cargo run --release -p fap-bench --example sparse_probe -- 16384 65536

@@ -4,14 +4,15 @@
 //! For each scenario [`bench_drift`] runs the seeded [`DriftRun`] once
 //! sequentially (timed) and once per thread count in the grid, asserting
 //! the reports are bit-identical — the tracker's determinism contract.
-//! The diurnal point additionally asserts the ISSUE's regret gate:
+//! The diurnal point additionally asserts the regret gate ([`REGRET_GATE`]):
 //! tracked regret at most 10% of the static-allocation regret. Results
 //! serialize to the `BENCH_drift.json` schema committed at the repo root;
-//! regenerate with `fap bench-drift` (prefer `--release`). `--check`
-//! re-runs the committed grid: regret bits, virtual counts and the regret
-//! gate are hard failures, wall-clock drift only an advisory.
+//! regenerate with `fap bench drift` (prefer `--release`).
+//! `fap bench drift --check` re-runs the committed grid through
+//! [`crate::check`]: regret bits, virtual counts and the regret gate are
+//! hard failures, host CPU count and wall-clock drift only advisories.
 
-use std::time::Instant;
+use std::fmt::Write as _;
 
 use fap_batch::Parallelism;
 use fap_net::topology;
@@ -19,7 +20,8 @@ use fap_obs::NoopRecorder;
 use fap_runtime::{DriftConfig, DriftReport, DriftRun, DriftScenario};
 use serde::{Deserialize, Serialize};
 
-pub use crate::scale::CheckOutcome;
+use crate::gate::{Field, Point, Suite};
+use crate::{host_threads, time_ms};
 
 /// The regret gate: tracked regret must stay within this fraction of the
 /// static-allocation regret on the diurnal scenario.
@@ -54,11 +56,10 @@ pub struct DriftPoint {
 }
 
 /// The full drift benchmark report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DriftBenchReport {
     /// Logical CPUs of the recording host
     /// (`std::thread::available_parallelism()`).
-    #[serde(default)]
     pub host_threads: usize,
     /// Ring size the scenarios run on.
     pub nodes: usize,
@@ -93,12 +94,6 @@ fn checksum_report(report: &DriftReport) -> f64 {
         + report.total_movement
         + report.final_allocation.iter().sum::<f64>()
         + report.epochs.iter().map(|e| e.tracked_utility + e.movement).sum::<f64>()
-}
-
-fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let value = f();
-    (start.elapsed().as_secs_f64() * 1e3, value)
 }
 
 /// Runs the sweep: each scenario once sequentially (timed), then once per
@@ -157,7 +152,7 @@ pub fn bench_drift(
         points.push(point);
     }
     DriftBenchReport {
-        host_threads: crate::scale::host_threads(),
+        host_threads: host_threads(),
         nodes,
         epochs,
         seed,
@@ -167,118 +162,83 @@ pub fn bench_drift(
     }
 }
 
-/// Compares a `fresh` run against the `committed` report
-/// (`fap bench-drift --check`).
-///
-/// Grid identity, regret/checksum bits (via [`f64::to_bits`]), the virtual
-/// counts (iterations, copies, rounds, warm epochs) and the diurnal
-/// [`REGRET_GATE`] are hard gates — the control loop is deterministic on
-/// any machine. Host CPU count and wall-clock timings only produce
-/// advisories.
-pub fn check_against(
-    committed: &DriftBenchReport,
-    fresh: &DriftBenchReport,
-    timing_tolerance: f64,
-) -> CheckOutcome {
-    let mut outcome = CheckOutcome::default();
-    if committed.nodes != fresh.nodes
-        || committed.epochs != fresh.epochs
-        || committed.seed != fresh.seed
-        || committed.scenarios != fresh.scenarios
-        || committed.thread_grid != fresh.thread_grid
-    {
-        outcome.hard_failures.push(format!(
-            "grid mismatch: committed {} nodes × {} epochs seed {} {:?} threads {:?}, \
-             fresh {} nodes × {} epochs seed {} {:?} threads {:?}",
-            committed.nodes,
-            committed.epochs,
-            committed.seed,
-            committed.scenarios,
-            committed.thread_grid,
-            fresh.nodes,
-            fresh.epochs,
-            fresh.seed,
-            fresh.scenarios,
-            fresh.thread_grid
-        ));
-    }
-    if committed.points.len() != fresh.points.len() {
-        outcome.hard_failures.push(format!(
-            "point count mismatch: committed {}, fresh {}",
-            committed.points.len(),
-            fresh.points.len()
-        ));
-        return outcome;
-    }
-    if committed.host_threads != fresh.host_threads {
-        outcome.advisories.push(format!(
-            "host CPU count differs: committed {}, fresh {} (machine-dependent)",
-            committed.host_threads, fresh.host_threads
-        ));
-    }
-    for (old, new) in committed.points.iter().zip(&fresh.points) {
-        let label = format!("scenario={}", old.scenario);
-        if old.scenario != new.scenario {
-            outcome.hard_failures.push(format!(
-                "point identity mismatch: committed {label}, fresh scenario={}",
-                new.scenario
-            ));
-            continue;
-        }
-        for (what, was, now) in [
-            ("tracked regret", old.tracked_regret, new.tracked_regret),
-            ("static regret", old.static_regret, new.static_regret),
-            ("checksum", old.checksum, new.checksum),
-        ] {
-            if was.to_bits() != now.to_bits() {
-                outcome.hard_failures.push(format!(
-                    "{what} diverged at {label}: committed {was:?} ({:#018x}), \
-                     fresh {now:?} ({:#018x})",
-                    was.to_bits(),
-                    now.to_bits()
-                ));
-            }
-        }
-        if old.iterations != new.iterations
-            || old.total_copies != new.total_copies
-            || old.total_rounds != new.total_rounds
-            || old.warm_epochs != new.warm_epochs
-        {
-            outcome.hard_failures.push(format!(
-                "{label}: virtual counts diverged: committed {} iters {} copies {} rounds \
-                 {} warm, fresh {} iters {} copies {} rounds {} warm",
-                old.iterations,
-                old.total_copies,
-                old.total_rounds,
-                old.warm_epochs,
-                new.iterations,
-                new.total_copies,
-                new.total_rounds,
-                new.warm_epochs
-            ));
-        }
-        if new.scenario == "diurnal" && new.regret_ratio > REGRET_GATE {
-            outcome.hard_failures.push(format!(
-                "{label}: regret ratio {} exceeds the {REGRET_GATE} gate",
-                new.regret_ratio
-            ));
-        }
-        if new.run_ms > old.run_ms * timing_tolerance {
-            outcome.advisories.push(format!(
-                "{label}: run timing {:.2} ms exceeds {timing_tolerance}× committed {:.2} ms",
-                new.run_ms, old.run_ms
-            ));
-        }
-    }
-    outcome
-}
+impl Suite for DriftBenchReport {
+    const NAME: &'static str = "drift";
 
-/// The labels of the committed grid, in run order.
-pub fn default_scenarios() -> Vec<String> {
-    ["diurnal", "flash-crowd", "step", "node-churn"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+    fn default_grid() -> Self {
+        DriftBenchReport {
+            nodes: 8,
+            epochs: 24,
+            seed: 7,
+            scenarios: ["diurnal", "flash-crowd", "step", "node-churn"].map(String::from).to_vec(),
+            thread_grid: vec![2, 4],
+            ..Self::default()
+        }
+    }
+
+    fn run(&self) -> Self {
+        bench_drift(&self.scenarios, self.nodes, self.epochs, self.seed, &self.thread_grid)
+    }
+
+    fn grid(&self) -> String {
+        format!(
+            "{} nodes × {} epochs, seed {}, scenarios {:?}, threads {:?}",
+            self.nodes, self.epochs, self.seed, self.scenarios, self.thread_grid
+        )
+    }
+
+    /// The control loop is deterministic on any machine: regret and
+    /// checksum bits and the virtual counts are exact, and the diurnal
+    /// point's regret ratio stays under [`REGRET_GATE`].
+    fn points(&self) -> Vec<Point> {
+        let host = Point {
+            id: "host".into(),
+            fields: vec![Field::drift("host_threads", self.host_threads as f64)],
+        };
+        let scenarios = self.points.iter().map(|p| {
+            let mut fields = vec![
+                Field::exact("tracked_regret", p.tracked_regret),
+                Field::exact("static_regret", p.static_regret),
+                Field::exact("checksum", p.checksum),
+                Field::exact("iterations", p.iterations as f64),
+                Field::exact("total_copies", p.total_copies as f64),
+                Field::exact("total_rounds", p.total_rounds as f64),
+                Field::exact("warm_epochs", p.warm_epochs as f64),
+                Field::timing("run_ms", p.run_ms),
+            ];
+            if p.scenario == "diurnal" {
+                fields.push(Field::ceiling("regret_ratio", p.regret_ratio, REGRET_GATE));
+            }
+            Point { id: format!("scenario={}", p.scenario), fields }
+        });
+        std::iter::once(host).chain(scenarios).collect()
+    }
+
+    fn summary(&self) -> String {
+        let mut out = format!(
+            "{} host CPUs; {} scenario points ({} nodes, {} epochs)\n",
+            self.host_threads,
+            self.points.len(),
+            self.nodes,
+            self.epochs
+        );
+        for p in &self.points {
+            let _ = writeln!(
+                out,
+                "  {:<12} regret {:>10.6} vs static {:>10.6} (ratio {:>7.4})  \
+                 moved {:>7.4} in {:>3} copies / {:>3} rounds  {:>8.2} ms",
+                p.scenario,
+                p.tracked_regret,
+                p.static_regret,
+                p.regret_ratio,
+                p.total_movement,
+                p.total_copies,
+                p.total_rounds,
+                p.run_ms
+            );
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -286,11 +246,11 @@ mod tests {
     use super::*;
 
     fn small_grid() -> DriftBenchReport {
-        bench_drift(&default_scenarios(), 6, 12, 7, &[2, 3])
+        bench_drift(&DriftBenchReport::default_grid().scenarios, 6, 12, 7, &[2, 3])
     }
 
     #[test]
-    fn the_sweep_covers_every_preset_and_gates_diurnal() {
+    fn the_sweep_covers_every_preset_gates_diurnal_and_reruns_clean() {
         let report = small_grid();
         assert_eq!(report.points.len(), 4);
         let diurnal = &report.points[0];
@@ -301,41 +261,7 @@ mod tests {
             assert!(p.iterations > 0);
             assert_eq!(p.warm_epochs, report.epochs - 1, "all but epoch 0 run warm");
         }
-    }
-
-    #[test]
-    fn check_passes_on_a_rerun_and_ignores_timing() {
-        let committed = small_grid();
-        let mut fresh = small_grid();
-        fresh.points[0].run_ms = committed.points[0].run_ms * 100.0 + 1.0;
-        let outcome = check_against(&committed, &fresh, 1.5);
+        let outcome = crate::check(&report, &report.run());
         assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
-        assert!(outcome.advisories.iter().any(|a| a.contains("run timing")));
-    }
-
-    #[test]
-    fn check_hard_gates_regret_bits_counts_and_the_gate() {
-        let committed = small_grid();
-
-        let mut fresh = committed.clone();
-        fresh.points[1].tracked_regret += 1e-9;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(!outcome.is_pass());
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("tracked regret diverged")));
-
-        let mut fresh = committed.clone();
-        fresh.points[2].total_copies += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("virtual counts diverged")));
-
-        let mut fresh = committed.clone();
-        fresh.points[0].regret_ratio = REGRET_GATE * 2.0;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("exceeds the")));
-
-        let mut regridded = committed.clone();
-        regridded.epochs += 1;
-        let outcome = check_against(&committed, &regridded, f64::INFINITY);
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("grid mismatch")));
     }
 }

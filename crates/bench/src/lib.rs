@@ -4,7 +4,9 @@
 //!
 //! Each experiment is a pure function returning structured series so that
 //! the `repro` binary, the criterion benches, and the integration tests all
-//! share one implementation. Run everything with:
+//! share one implementation. The committed `BENCH_*.json` grids ([`scale`],
+//! [`serve`], [`drift`]) are measured and gated through one [`Suite`]
+//! trait and one [`check`]. Run every figure with:
 //!
 //! ```text
 //! cargo run --release -p fap-bench --bin repro
@@ -15,11 +17,25 @@
 
 pub mod drift;
 pub mod experiments;
+pub mod gate;
 pub mod scale;
 pub mod serve;
 pub mod series;
 
+pub use gate::{check, CheckOutcome, Suite};
 pub use series::Series;
+
+/// Runs `f` and returns its wall clock in milliseconds with its value.
+fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = std::time::Instant::now();
+    let value = f();
+    (start.elapsed().as_secs_f64() * 1e3, value)
+}
+
+/// Logical CPUs of this host, `1` when undeterminable.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 /// The paper's §6 experimental parameters: μ = 1.5, k = 1, λ = 1,
 /// ε = 0.001, four-node ring with unit link costs, start

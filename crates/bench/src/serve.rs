@@ -11,9 +11,12 @@
 //! on virtual counts (iterations, not wall clock), so its numbers are
 //! machine-independent and hard-gated by `--check`. Results serialize to
 //! the `BENCH_serve.json` schema committed at the repo root; regenerate
-//! with `fap bench-serve` (prefer `--release`).
+//! with `fap bench serve` (prefer `--release`). `fap bench serve --check`
+//! re-runs the committed grid through [`crate::check`]: checksums and
+//! hit/miss and iteration counts are hard gates, steals, thread counts and
+//! timings only advisories.
 
-use std::time::Instant;
+use std::fmt::Write as _;
 
 use fap_batch::Parallelism;
 use fap_cache::CostMatrixCache;
@@ -24,7 +27,8 @@ use fap_ring::VirtualRing;
 use fap_serve::{BatchServer, ServeOutput, ServeRequest, ServeResponse};
 use serde::{Deserialize, Serialize};
 
-pub use crate::scale::CheckOutcome;
+use crate::gate::{Field, Point, Suite};
+use crate::{host_threads, time_ms};
 
 /// One measured grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,7 +47,6 @@ pub struct ServePoint {
     pub checksum: f64,
     /// Tasks the sharded run's workers stole from each other. Scheduling
     /// is timing-dependent, so this is advisory only — never hard-gated.
-    #[serde(default)]
     pub steals: u64,
 }
 
@@ -88,11 +91,10 @@ pub struct WarmPoint {
 }
 
 /// The full benchmark report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Logical CPUs of the recording host
     /// (`std::thread::available_parallelism()`).
-    #[serde(default)]
     pub host_threads: usize,
     /// Worker threads `Parallelism::Auto` would use on the machine that
     /// produced the report (informational; the grid pins explicit counts).
@@ -104,10 +106,8 @@ pub struct ServeReport {
     /// All measured points.
     pub points: Vec<ServePoint>,
     /// Cache on/off matrix-build comparison, one per batch size.
-    #[serde(default)]
     pub cache_points: Vec<CachePoint>,
     /// Warm-start savings on the perturbed workload, one per batch size.
-    #[serde(default)]
     pub warm_points: Vec<WarmPoint>,
 }
 
@@ -315,12 +315,6 @@ fn checksum_output(output: &ServeOutput) -> f64 {
         .sum()
 }
 
-fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let value = f();
-    (start.elapsed().as_secs_f64() * 1e3, value)
-}
-
 /// Runs the sweep: for each batch size a sequential baseline, then one
 /// sharded run per shard count.
 ///
@@ -363,7 +357,7 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     let warm_points =
         batch_sizes.iter().map(|&count| bench_warm(count, shard_counts)).collect();
     ServeReport {
-        host_threads: crate::scale::host_threads(),
+        host_threads: host_threads(),
         threads: Parallelism::Auto.thread_count(),
         batch_sizes: batch_sizes.to_vec(),
         shard_counts: shard_counts.to_vec(),
@@ -373,144 +367,93 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     }
 }
 
-/// Compares a `fresh` run against the `committed` report
-/// (`fap bench-serve --check`).
-///
-/// Grid shape, point identity and response checksums (bit-for-bit via
-/// [`f64::to_bits`]) are hard gates. Thread count and wall-clock timings
-/// only produce advisories, since the committed numbers came from a
-/// different (possibly slower, possibly single-core) machine.
-pub fn check_against(
-    committed: &ServeReport,
-    fresh: &ServeReport,
-    timing_tolerance: f64,
-) -> CheckOutcome {
-    let mut outcome = CheckOutcome::default();
-    if committed.batch_sizes != fresh.batch_sizes || committed.shard_counts != fresh.shard_counts
-    {
-        outcome.hard_failures.push(format!(
-            "grid mismatch: committed {:?}×{:?}, fresh {:?}×{:?}",
-            committed.batch_sizes, committed.shard_counts, fresh.batch_sizes, fresh.shard_counts
-        ));
-    }
-    if committed.points.len() != fresh.points.len() {
-        outcome.hard_failures.push(format!(
-            "point count mismatch: committed {}, fresh {}",
-            committed.points.len(),
-            fresh.points.len()
-        ));
-        return outcome;
-    }
-    if committed.threads != fresh.threads {
-        outcome.advisories.push(format!(
-            "thread count differs: committed {}, fresh {} (machine-dependent)",
-            committed.threads, fresh.threads
-        ));
-    }
-    if committed.host_threads != fresh.host_threads {
-        outcome.advisories.push(format!(
-            "host CPU count differs: committed {}, fresh {} (machine-dependent)",
-            committed.host_threads, fresh.host_threads
-        ));
-    }
-    for (old, new) in committed.points.iter().zip(&fresh.points) {
-        let label = format!("requests={} shards={}", old.requests, old.shards);
-        if old.requests != new.requests || old.shards != new.shards {
-            outcome.hard_failures.push(format!(
-                "point identity mismatch: committed {label}, fresh requests={} shards={}",
-                new.requests, new.shards
-            ));
-            continue;
-        }
-        if old.checksum.to_bits() != new.checksum.to_bits() {
-            outcome.hard_failures.push(format!(
-                "checksum diverged at {label}: committed {:?} ({:#018x}), fresh {:?} ({:#018x})",
-                old.checksum,
-                old.checksum.to_bits(),
-                new.checksum,
-                new.checksum.to_bits()
-            ));
-        }
-        for (stage, was, now) in [
-            ("sequential", old.sequential_ms, new.sequential_ms),
-            ("sharded", old.sharded_ms, new.sharded_ms),
-        ] {
-            if now > was * timing_tolerance {
-                outcome.advisories.push(format!(
-                    "{label}: {stage} timing {now:.2} ms exceeds {timing_tolerance}× committed {was:.2} ms"
-                ));
-            }
-        }
-        if old.steals != new.steals {
-            outcome.advisories.push(format!(
-                "{label}: steals differ: committed {}, fresh {} (scheduling-dependent)",
-                old.steals, new.steals
-            ));
+impl Suite for ServeReport {
+    const NAME: &'static str = "serve";
+
+    fn default_grid() -> Self {
+        ServeReport {
+            batch_sizes: vec![12, 48, 192],
+            shard_counts: vec![1, 2, 4, 8],
+            ..Self::default()
         }
     }
-    // Cache section: hit/miss counts are deterministic, timings advisory.
-    if committed.cache_points.len() != fresh.cache_points.len() {
-        outcome.hard_failures.push(format!(
-            "cache point count mismatch: committed {}, fresh {}",
-            committed.cache_points.len(),
-            fresh.cache_points.len()
-        ));
+
+    fn run(&self) -> Self {
+        bench_serve(&self.batch_sizes, &self.shard_counts)
     }
-    for (old, new) in committed.cache_points.iter().zip(&fresh.cache_points) {
-        let label = format!("cache requests={}", old.requests);
-        if old.requests != new.requests || old.hits != new.hits || old.misses != new.misses {
-            outcome.hard_failures.push(format!(
-                "{label}: hit/miss diverged: committed {}/{} over {} requests, fresh {}/{} over {}",
-                old.hits, old.misses, old.requests, new.hits, new.misses, new.requests
-            ));
-        }
-        if new.build_cached_ms > old.build_cached_ms * timing_tolerance {
-            outcome.advisories.push(format!(
-                "{label}: cached build {:.3} ms exceeds {timing_tolerance}× committed {:.3} ms",
-                new.build_cached_ms, old.build_cached_ms
-            ));
-        }
+
+    fn grid(&self) -> String {
+        format!("batch sizes {:?} × shards {:?}", self.batch_sizes, self.shard_counts)
     }
-    // Warm section: everything is a virtual count or checksum — all hard.
-    if committed.warm_points.len() != fresh.warm_points.len() {
-        outcome.hard_failures.push(format!(
-            "warm point count mismatch: committed {}, fresh {}",
-            committed.warm_points.len(),
-            fresh.warm_points.len()
-        ));
+
+    /// Response checksums, cache hit/miss counts and the warm section's
+    /// virtual counts are exact; steals depend on scheduling and only
+    /// drift.
+    fn points(&self) -> Vec<Point> {
+        let host = Point {
+            id: "host".into(),
+            fields: vec![
+                Field::drift("threads", self.threads as f64),
+                Field::drift("host_threads", self.host_threads as f64),
+            ],
+        };
+        let sharded = self.points.iter().map(|p| Point {
+            id: format!("requests={} shards={}", p.requests, p.shards),
+            fields: vec![
+                Field::exact("checksum", p.checksum),
+                Field::timing("sequential_ms", p.sequential_ms),
+                Field::timing("sharded_ms", p.sharded_ms),
+                Field::drift("steals", p.steals as f64),
+            ],
+        });
+        let cache = self.cache_points.iter().map(|c| Point {
+            id: format!("cache requests={}", c.requests),
+            fields: vec![
+                Field::exact("hits", c.hits as f64),
+                Field::exact("misses", c.misses as f64),
+                Field::timing("build_cached_ms", c.build_cached_ms),
+            ],
+        });
+        let warm = self.warm_points.iter().map(|w| Point {
+            id: format!("warm requests={}", w.requests),
+            fields: vec![
+                Field::exact("cold_iterations", w.cold_iterations as f64),
+                Field::exact("warm_iterations", w.warm_iterations as f64),
+                Field::exact("warm_starts", w.warm_starts as f64),
+                Field::exact("iters_saved", w.iters_saved as f64),
+                Field::exact("checksum", w.checksum),
+            ],
+        });
+        std::iter::once(host).chain(sharded).chain(cache).chain(warm).collect()
     }
-    for (old, new) in committed.warm_points.iter().zip(&fresh.warm_points) {
-        let label = format!("warm requests={}", old.requests);
-        if old.requests != new.requests
-            || old.cold_iterations != new.cold_iterations
-            || old.warm_iterations != new.warm_iterations
-            || old.warm_starts != new.warm_starts
-            || old.iters_saved != new.iters_saved
-        {
-            outcome.hard_failures.push(format!(
-                "{label}: iteration counts diverged: committed cold {} warm {} starts {} saved {}, \
-                 fresh cold {} warm {} starts {} saved {}",
-                old.cold_iterations,
-                old.warm_iterations,
-                old.warm_starts,
-                old.iters_saved,
-                new.cold_iterations,
-                new.warm_iterations,
-                new.warm_starts,
-                new.iters_saved
-            ));
+
+    fn summary(&self) -> String {
+        let mut out = format!("{} threads; {} points\n", self.threads, self.points.len());
+        for p in &self.points {
+            let _ = writeln!(
+                out,
+                "  requests={:<5} shards={:<3} seq {:>9.2} ms  sharded {:>9.2} ms  speedup {:>5.2}x  steals {:>4}",
+                p.requests, p.shards, p.sequential_ms, p.sharded_ms, p.speedup, p.steals
+            );
         }
-        if old.checksum.to_bits() != new.checksum.to_bits() {
-            outcome.hard_failures.push(format!(
-                "{label}: warm checksum diverged: committed {:?} ({:#018x}), fresh {:?} ({:#018x})",
-                old.checksum,
-                old.checksum.to_bits(),
-                new.checksum,
-                new.checksum.to_bits()
-            ));
+        out.push_str("cost-matrix cache (off vs on):\n");
+        for c in &self.cache_points {
+            let _ = writeln!(
+                out,
+                "  requests={:<5} cold {:>8.3} ms  cached {:>8.3} ms  speedup {:>5.2}x  {} hits / {} misses",
+                c.requests, c.build_cold_ms, c.build_cached_ms, c.speedup, c.hits, c.misses
+            );
         }
+        out.push_str("warm starts (perturbed workload):\n");
+        for w in &self.warm_points {
+            let _ = writeln!(
+                out,
+                "  requests={:<5} cold {:>8} iters  warm {:>8} iters  {} seeded, {} iters saved",
+                w.requests, w.cold_iterations, w.warm_iterations, w.warm_starts, w.iters_saved
+            );
+        }
+        out
     }
-    outcome
 }
 
 #[cfg(test)]
@@ -528,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_produces_consistent_points() {
+    fn bench_serve_produces_consistent_points_and_reruns_clean() {
         let report = bench_serve(&[6], &[2, 3]);
         assert_eq!(report.points.len(), 2);
         for p in &report.points {
@@ -543,6 +486,8 @@ mod tests {
         // And the warm-path sections cover the batch-size grid.
         assert_eq!(report.cache_points.len(), 1);
         assert_eq!(report.warm_points.len(), 1);
+        let outcome = crate::check(&report, &report.run());
+        assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
     }
 
     #[test]
@@ -562,61 +507,5 @@ mod tests {
         assert!(a.iters_saved > 0);
         assert!(a.warm_iterations < a.cold_iterations);
         assert_eq!(a.warm_starts, 7, "all but the chain head run seeded");
-    }
-
-    #[test]
-    fn check_hard_gates_the_warm_and_cache_sections() {
-        let committed = bench_serve(&[6], &[2]);
-        let mut fresh = committed.clone();
-        fresh.warm_points[0].iters_saved += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(!outcome.is_pass());
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("iteration counts diverged")));
-
-        let mut fresh = committed.clone();
-        fresh.cache_points[0].hits += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(!outcome.is_pass());
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("hit/miss diverged")));
-
-        // Steals are scheduling-dependent: only ever advisory.
-        let mut fresh = committed.clone();
-        fresh.points[0].steals += 3;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(outcome.is_pass(), "steals must not hard-fail: {:?}", outcome.hard_failures);
-        assert!(outcome.advisories.iter().any(|a| a.contains("steals differ")));
-    }
-
-    #[test]
-    fn check_passes_on_a_rerun_of_the_same_grid() {
-        let committed = bench_serve(&[5], &[2]);
-        let fresh = bench_serve(&[5], &[2]);
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
-    }
-
-    #[test]
-    fn check_flags_checksum_and_grid_divergence_as_hard() {
-        let committed = bench_serve(&[5], &[2]);
-        let mut fresh = committed.clone();
-        fresh.points[0].checksum += 1.0;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
-        assert!(!outcome.is_pass());
-        assert!(outcome.hard_failures[0].contains("checksum diverged"));
-
-        let mut regridded = committed.clone();
-        regridded.shard_counts = vec![7];
-        let outcome = check_against(&committed, &regridded, f64::INFINITY);
-        assert!(outcome.hard_failures.iter().any(|f| f.contains("grid mismatch")));
-    }
-
-    #[test]
-    fn check_reports_slow_timings_as_advisory() {
-        let committed = bench_serve(&[5], &[2]);
-        let mut fresh = committed.clone();
-        fresh.points[0].sharded_ms = committed.points[0].sharded_ms * 100.0 + 1.0;
-        let outcome = check_against(&committed, &fresh, 1.5);
-        assert!(outcome.is_pass(), "slow timing must not fail the check");
-        assert!(outcome.advisories.iter().any(|a| a.contains("sharded timing")));
     }
 }

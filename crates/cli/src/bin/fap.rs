@@ -22,12 +22,8 @@
 //! fap trace --folded <metrics.jsonl>     folded stacks for flamegraph.pl
 //! fap trace --diff <a.jsonl> <b.jsonl>   per-layer self-time deltas
 //! fap sweep-k <scenario.json> <k,k,...>  the §8.2 k trade-off
-//! fap bench-scale [out.json]             seq-vs-parallel scaling sweep
-//! fap bench-scale --check [committed]    re-run and verify determinism
-//! fap bench-serve [out.json]             sequential-vs-sharded serving sweep
-//! fap bench-serve --check [committed]    re-run and verify determinism
-//! fap bench-drift [out.json]             drift-tracking regret/determinism sweep
-//! fap bench-drift --check [committed]    re-run and verify the regret gate
+//! fap bench <scale|serve|drift> [out]    measure a grid into BENCH_<suite>.json
+//! fap bench <suite> --check [committed]  re-run the committed grid and gate it
 //! fap example                            print a template scenario
 //! fap chaos-example                      print a template fault plan
 //! ```
@@ -46,6 +42,7 @@ use std::io::BufWriter;
 use std::path::Path;
 use std::process::ExitCode;
 
+use fap_bench::{drift::DriftBenchReport, scale::ScaleReport, serve::ServeReport, Suite};
 use fap_cli::{chaos_sim, simulate, solve, summarize, sweep_k, Scenario};
 use fap_obs::{JsonlSink, Recorder, Telemetry};
 use fap_runtime::ChaosPlan;
@@ -83,12 +80,8 @@ const USAGE: &str = "usage:
   fap trace --folded <metrics.jsonl>
   fap trace --diff <a.jsonl> <b.jsonl>
   fap sweep-k <scenario.json> <k1,k2,...>
-  fap bench-scale [out.json] [--hier-levels <l>] [--sparse-max-n <n>]
-  fap bench-scale --check [committed.json] [--sparse-max-n <n>]
-  fap bench-serve [out.json]
-  fap bench-serve --check [committed.json]
-  fap bench-drift [out.json]
-  fap bench-drift --check [committed.json]
+  fap bench scale [--check] [BENCH_scale.json] [--sparse-max-n <n>]
+  fap bench serve|drift [--check] [BENCH_<suite>.json]
   fap example
   fap chaos-example
 
@@ -259,6 +252,40 @@ fn extract_metrics_flags(args: &[String]) -> Result<(Vec<String>, MetricsOptions
         }
     }
     Ok((positional, options))
+}
+
+/// `fap bench <suite>`: measures the suite's committed grid into `path`,
+/// or with `check` re-runs the grid committed at `path` and gates the rerun
+/// against it. `sparse_max_n` drops the sparse points above it first.
+fn bench<S: Suite>(check: bool, path: &str, sparse_max_n: Option<usize>) -> Result<(), String> {
+    let name = S::NAME;
+    let mut grid = if check {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        serde_json::from_str::<S>(&text).map_err(|e| format!("parsing {path}: {e}"))?
+    } else {
+        S::default_grid()
+    };
+    if let Some(n) = sparse_max_n {
+        grid.cap_sparse(n)?;
+    }
+    let report = grid.run();
+    if check {
+        let outcome = fap_bench::check(&grid, &report);
+        for advisory in &outcome.advisories {
+            println!("advisory: {advisory}");
+        }
+        return if outcome.is_pass() {
+            println!("bench {name} check passed: every hard gate held against {path}");
+            Ok(())
+        } else {
+            Err(format!("bench {name} check failed:\n  {}", outcome.hard_failures.join("\n  ")))
+        };
+    }
+    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+    std::fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?;
+    print!("{}", report.summary());
+    println!("wrote {path}");
+    Ok(())
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -601,24 +628,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 Ok(())
             }
-            ("bench-scale", rest) => {
+            ("bench", [suite, rest @ ..]) => {
                 let mut check = false;
-                let mut hier_levels: Option<usize> = None;
                 let mut sparse_max_n: Option<usize> = None;
-                let mut path: Option<&String> = None;
+                let mut path: Option<String> = None;
                 let mut iter = rest.iter();
                 while let Some(arg) = iter.next() {
                     match arg.as_str() {
                         "--check" => check = true,
-                        "--hier-levels" => {
-                            let l = iter.next().ok_or("--hier-levels requires a depth")?;
-                            let l: usize =
-                                l.parse().map_err(|e| format!("bad depth '{l}': {e}"))?;
-                            if l == 0 {
-                                return Err("--hier-levels must be at least 1".into());
-                            }
-                            hier_levels = Some(l);
-                        }
                         "--sparse-max-n" => {
                             let n =
                                 iter.next().ok_or("--sparse-max-n requires a node count")?;
@@ -626,220 +643,17 @@ fn run(args: &[String]) -> Result<(), String> {
                                 n.parse().map_err(|e| format!("bad node count '{n}': {e}"))?,
                             );
                         }
-                        _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
+                        _ if path.is_none() && !arg.starts_with("--") => path = Some(arg.clone()),
                         other => return Err(format!("unexpected argument '{other}'")),
                     }
                 }
-                if check {
-                    let path = path.map_or("BENCH_scale.json", String::as_str);
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("reading {path}: {e}"))?;
-                    let mut committed: fap_bench::scale::ScaleReport = serde_json::from_str(
-                        &text,
-                    )
-                    .map_err(|e| format!("parsing {path}: {e}"))?;
-                    // A smoke check bounds the rerun's wall clock by
-                    // truncating the sparse sweep; the compared prefix
-                    // keeps its full hard gates.
-                    if let Some(cap) = sparse_max_n {
-                        committed.sparse_ns.retain(|&n| n <= cap);
-                        committed.sparse_points.retain(|p| p.n <= cap);
-                    }
-                    let fresh = fap_bench::scale::bench_scale_configured(
-                        &committed.ns,
-                        &committed.ms,
-                        &committed.sparse_ns,
-                        committed.iterations,
-                        fap_batch::Parallelism::Auto,
-                        hier_levels,
-                    );
-                    let outcome = fap_bench::scale::check_against(&committed, &fresh, 1.5);
-                    for advisory in &outcome.advisories {
-                        println!("advisory: {advisory}");
-                    }
-                    return if outcome.is_pass() {
-                        println!(
-                            "bench-scale check passed: {} dense + {} sparse points verified against {path}",
-                            committed.points.len(),
-                            committed.sparse_points.len()
-                        );
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "bench-scale check failed:\n  {}",
-                            outcome.hard_failures.join("\n  ")
-                        ))
-                    };
+                let path = path.unwrap_or_else(|| format!("BENCH_{suite}.json"));
+                match suite.as_str() {
+                    "scale" => bench::<ScaleReport>(check, &path, sparse_max_n),
+                    "serve" => bench::<ServeReport>(check, &path, sparse_max_n),
+                    "drift" => bench::<DriftBenchReport>(check, &path, sparse_max_n),
+                    other => Err(format!("unknown bench suite '{other}' (expected scale|serve|drift)")),
                 }
-                let out = path.map_or("BENCH_scale.json", String::as_str);
-                let mut sparse_ns: Vec<usize> =
-                    vec![64, 256, 1024, 4096, 16384, 65536, 131072, 262144, 524288, 1048576];
-                if let Some(cap) = sparse_max_n {
-                    sparse_ns.retain(|&n| n <= cap);
-                }
-                let report = fap_bench::scale::bench_scale_configured(
-                    &[64, 256, 1024],
-                    &[1, 16, 128],
-                    &sparse_ns,
-                    25,
-                    fap_batch::Parallelism::Auto,
-                    hier_levels,
-                );
-                let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
-                println!(
-                    "{} host CPUs, {} workers; wrote {} dense + {} sparse points to {out}",
-                    report.host_threads,
-                    report.threads,
-                    report.points.len(),
-                    report.sparse_points.len()
-                );
-                for p in &report.points {
-                    println!(
-                        "  {:<10} N={:<5} M={:<4} seq {:>9.2} ms  par {:>9.2} ms  speedup {:>5.2}x",
-                        p.kind, p.n, p.m, p.sequential_ms, p.parallel_ms, p.speedup
-                    );
-                }
-                for p in &report.sparse_points {
-                    let gap = p.gap.map_or("      n/a".into(), |g| format!("{:>8.4}%", g * 100.0));
-                    let update = 100.0 * p.update_work as f64 / p.rebuild_work.max(1) as f64;
-                    println!(
-                        "  sparse     N={:<7} K={:<3} L={} build {:>9.2} ms  solve {:>9.2} ms  gap {gap}  {:>6.1} MiB  upd {:>6.3}% of rebuild",
-                        p.n, p.landmarks, p.levels, p.build_ms, p.solve_ms,
-                        p.provider_bytes as f64 / (1 << 20) as f64, update
-                    );
-                }
-                Ok(())
-            }
-            ("bench-serve", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
-                let path = rest.first().map_or("BENCH_serve.json", String::as_str);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                let committed: fap_bench::serve::ServeReport =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                let fresh = fap_bench::serve::bench_serve(
-                    &committed.batch_sizes,
-                    &committed.shard_counts,
-                );
-                let outcome = fap_bench::serve::check_against(&committed, &fresh, 1.5);
-                for advisory in &outcome.advisories {
-                    println!("advisory: {advisory}");
-                }
-                if outcome.is_pass() {
-                    println!(
-                        "bench-serve check passed: {} points bit-identical to {path}",
-                        committed.points.len()
-                    );
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "bench-serve check failed:\n  {}",
-                        outcome.hard_failures.join("\n  ")
-                    ))
-                }
-            }
-            ("bench-serve", rest) if rest.len() <= 1 => {
-                let out = rest.first().map_or("BENCH_serve.json", String::as_str);
-                let report = fap_bench::serve::bench_serve(&[12, 48, 192], &[1, 2, 4, 8]);
-                let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
-                println!(
-                    "{} threads; wrote {} points to {out}",
-                    report.threads,
-                    report.points.len()
-                );
-                for p in &report.points {
-                    println!(
-                        "  requests={:<5} shards={:<3} seq {:>9.2} ms  sharded {:>9.2} ms  speedup {:>5.2}x  steals {:>4}",
-                        p.requests, p.shards, p.sequential_ms, p.sharded_ms, p.speedup, p.steals
-                    );
-                }
-                println!("cost-matrix cache (off vs on):");
-                for c in &report.cache_points {
-                    println!(
-                        "  requests={:<5} cold {:>8.3} ms  cached {:>8.3} ms  speedup {:>5.2}x  {} hits / {} misses",
-                        c.requests, c.build_cold_ms, c.build_cached_ms, c.speedup, c.hits, c.misses
-                    );
-                }
-                println!("warm starts (perturbed workload):");
-                for w in &report.warm_points {
-                    println!(
-                        "  requests={:<5} cold {:>8} iters  warm {:>8} iters  {} seeded, {} iters saved",
-                        w.requests, w.cold_iterations, w.warm_iterations, w.warm_starts, w.iters_saved
-                    );
-                }
-                Ok(())
-            }
-            ("bench-drift", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
-                let path = rest.first().map_or("BENCH_drift.json", String::as_str);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                let committed: fap_bench::drift::DriftBenchReport =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                let fresh = fap_bench::drift::bench_drift(
-                    &committed.scenarios,
-                    committed.nodes,
-                    committed.epochs,
-                    committed.seed,
-                    &committed.thread_grid,
-                );
-                let outcome = fap_bench::drift::check_against(&committed, &fresh, 1.5);
-                for advisory in &outcome.advisories {
-                    println!("advisory: {advisory}");
-                }
-                if outcome.is_pass() {
-                    println!(
-                        "bench-drift check passed: {} scenarios bit-identical to {path}, \
-                         diurnal regret gate held",
-                        committed.points.len()
-                    );
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "bench-drift check failed:\n  {}",
-                        outcome.hard_failures.join("\n  ")
-                    ))
-                }
-            }
-            ("bench-drift", rest) if rest.len() <= 1 => {
-                let out = rest.first().map_or("BENCH_drift.json", String::as_str);
-                let report = fap_bench::drift::bench_drift(
-                    &fap_bench::drift::default_scenarios(),
-                    8,
-                    24,
-                    7,
-                    &[2, 4],
-                );
-                let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
-                println!(
-                    "{} host CPUs; wrote {} scenario points ({} nodes, {} epochs) to {out}",
-                    report.host_threads,
-                    report.points.len(),
-                    report.nodes,
-                    report.epochs
-                );
-                for p in &report.points {
-                    println!(
-                        "  {:<12} regret {:>10.6} vs static {:>10.6} (ratio {:>7.4})  \
-                         moved {:>7.4} in {:>3} copies / {:>3} rounds  {:>8.2} ms",
-                        p.scenario,
-                        p.tracked_regret,
-                        p.static_regret,
-                        p.regret_ratio,
-                        p.total_movement,
-                        p.total_copies,
-                        p.total_rounds,
-                        p.run_ms
-                    );
-                }
-                Ok(())
             }
             ("sweep-k", [path, list]) => {
                 let scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
@@ -859,5 +673,24 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             (cmd, _) => Err(format!("unknown or malformed command '{cmd}'")),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn bench_rejects_a_sparse_cap_off_the_scale_suite_and_unknown_suites() {
+        for suite in ["serve", "drift"] {
+            let err = run(&args(&format!("bench {suite} --sparse-max-n 64"))).unwrap_err();
+            assert!(err.contains("--sparse-max-n only applies to `fap bench scale`"), "{err}");
+        }
+        let err = run(&args("bench nope --check")).unwrap_err();
+        assert!(err.contains("unknown bench suite 'nope'"), "{err}");
     }
 }

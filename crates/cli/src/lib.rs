@@ -13,7 +13,7 @@
 //! fap serve requests.json --shards 4 # batch-solve a scenario list, sharded
 //! fap served                         # persistent daemon (JSONL on stdin)
 //! fap track --drift-scenario diurnal # online reallocation under drift
-//! fap bench-drift                    # the regret/determinism benchmark
+//! fap bench drift --check            # re-run and gate a committed grid
 //! fap serve-example                  # print a template scenario list
 //! fap report metrics.jsonl          # summarize an exported telemetry file
 //! fap trace metrics.jsonl           # reconstruct span trees + self time

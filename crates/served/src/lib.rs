@@ -882,11 +882,21 @@ mod tests {
     fn a_session_is_deterministic_byte_for_byte() {
         let lines =
             ["{\"at\":0,\"batch\":[1,2]}", "{\"at\":5,\"batch\":[3]}", "{\"cmd\":\"shutdown\"}"];
-        let config = DaemonConfig::default();
+        // Sequential shards: under `Auto` the status line's `steals` count
+        // depends on scheduling, so only a sequential session is pinned whole.
+        let config = DaemonConfig { shards: Parallelism::Sequential, ..DaemonConfig::default() };
         let (a, _) = drive(&mut daemon(&config), &lines);
         let (b, _) = drive(&mut daemon(&config), &lines);
         assert_eq!(a, b);
         assert!(a.lines().count() >= 3, "two batch lines and a status line");
+        // Under `Auto` shards every batch-response line still matches the
+        // sequential session byte for byte.
+        let batch_lines = |out: &str| -> Vec<String> {
+            out.lines().filter(|l| !l.contains("\"kind\":\"status\"")).map(str::to_owned).collect()
+        };
+        let (auto, _) = drive(&mut daemon(&DaemonConfig::default()), &lines);
+        assert_eq!(batch_lines(&auto), batch_lines(&a));
+        assert_eq!(batch_lines(&a).len(), 2);
     }
 
     #[test]
