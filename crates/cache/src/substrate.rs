@@ -825,8 +825,8 @@ mod tests {
             .get_or_build(&g, CostBackend::Dense, Parallelism::Sequential, &mut NoopRecorder)
             .unwrap();
         // The dense provider is the exact matrix, bit for bit.
-        let via_cache = dense.systemwide_access_costs(&pattern);
-        let direct = exact.systemwide_access_costs(&pattern);
+        let via_cache = dense.systemwide_access_costs(&pattern).unwrap();
+        let direct = exact.systemwide_access_costs(&pattern).unwrap();
         assert_eq!(via_cache.len(), direct.len());
         for (a, b) in via_cache.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -231,7 +231,8 @@ impl Scenario {
             .map_err(|e| ScenarioError::Invalid(e.to_string()))
     }
 
-    fn validate(&self) -> Result<(), ScenarioError> {
+    /// Checks the workload and seed dimensions against the topology.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         let n = self.topology.node_count();
         if self.lambdas.len() != n {
             return Err(ScenarioError::Invalid(format!(

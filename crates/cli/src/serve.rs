@@ -161,6 +161,8 @@ impl ServeSpec {
     pub fn to_request(&self) -> Result<ServeRequest, ScenarioError> {
         match self {
             ServeSpec::SingleFile { scenario } => {
+                // A deserialized spec skips `Scenario::from_json`'s checks.
+                scenario.validate()?;
                 let problem = problem_of(scenario)?;
                 let n = scenario.topology.node_count();
                 let initial =
@@ -235,7 +237,10 @@ impl ServeSpec {
         recorder: &mut dyn Recorder,
     ) -> Result<ServeRequest, ScenarioError> {
         let (topology, backend) = match self {
-            ServeSpec::SingleFile { scenario } => (&scenario.topology, scenario.cost_backend),
+            ServeSpec::SingleFile { scenario } => {
+                scenario.validate()?;
+                (&scenario.topology, scenario.cost_backend)
+            }
             ServeSpec::MultiFile { topology, cost_backend, .. } => (topology, *cost_backend),
             ServeSpec::Ring { topology: Some(topology), cost_backend, .. } => {
                 (topology, *cost_backend)

@@ -321,7 +321,7 @@ pub fn solve_hierarchical_multilevel_observed(
 
     // The full problem under the oracle's estimated access costs: the
     // refinement marginals and the reported cost are evaluated on it.
-    let est_costs = oracle.systemwide_access_costs(pattern);
+    let est_costs = oracle.systemwide_access_costs(pattern)?;
     if let Some(root) = root_ctx {
         // The substrate pass takes no solver iterations: a zero-width span
         // marks where the hub-decomposed access costs were materialized.
@@ -984,7 +984,7 @@ mod tests {
         // Exact optimum of the *estimated* problem bounds what the
         // hierarchical pipeline can achieve on it.
         let est = SingleFileProblem::from_parts(
-            oracle.systemwide_access_costs(&pattern),
+            oracle.systemwide_access_costs(&pattern).unwrap(),
             pattern.total_rate(),
             mus.iter().map(|&m| Mm1Delay::new(m).unwrap()).collect(),
             1.0,

@@ -247,7 +247,7 @@ impl MultiFileProblem {
                     pattern.node_count()
                 )));
             }
-            access_costs.push_row(&costs.systemwide_access_costs(pattern));
+            access_costs.push_row(&costs.systemwide_access_costs(pattern)?);
             rates.push(pattern.total_rate());
         }
         let offered: f64 = rates.iter().sum();

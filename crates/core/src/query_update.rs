@@ -114,8 +114,8 @@ impl QueryUpdateModel {
                 "query/update weights must be non-negative".into(),
             ));
         }
-        let cq = costs.systemwide_access_costs(&self.queries);
-        let cu = costs.systemwide_access_costs(&self.updates);
+        let cq = costs.systemwide_access_costs(&self.queries)?;
+        let cu = costs.systemwide_access_costs(&self.updates)?;
         let lq = self.queries.total_rate();
         let lu = self.updates.total_rate();
         let total = lq + lu;

@@ -98,7 +98,7 @@ impl SingleFileProblem<Mm1Delay> {
         let n = provider.node_count();
         let delay = Mm1Delay::new(mu)?;
         Self::from_parts(
-            provider.systemwide_access_costs(pattern),
+            provider.systemwide_access_costs(pattern)?,
             pattern.total_rate(),
             vec![delay; n],
             k,
@@ -156,7 +156,7 @@ impl SingleFileProblem<Mm1Delay> {
     ) -> Result<Self, CoreError> {
         let delays = mus.iter().map(|&mu| Mm1Delay::new(mu)).collect::<Result<Vec<_>, _>>()?;
         Self::from_parts(
-            provider.systemwide_access_costs(pattern),
+            provider.systemwide_access_costs(pattern)?,
             pattern.total_rate(),
             delays,
             k,
@@ -181,7 +181,7 @@ impl SingleFileProblem<Mg1Delay> {
         let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
         let delay = Mg1Delay::new(mu, scv)?;
         Self::from_parts(
-            costs.systemwide_access_costs(pattern),
+            costs.systemwide_access_costs(pattern)?,
             pattern.total_rate(),
             vec![delay; costs.node_count()],
             k,

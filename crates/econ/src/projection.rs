@@ -27,6 +27,20 @@
 //!   simulation evidently does: with `α = 0.67` from start `(0.8, 0.1, 0.1,
 //!   0.0)` the first step drives node 1 to `x < 0`, yet the paper reports
 //!   4-iteration convergence, which only the unconstrained update achieves.
+//!
+//! [`BoundaryRule::ClampToZero`] (the default) pins violators to zero one at
+//! a time, each after a full `O(n)` pass over the agents. For unit weights
+//! the pinned set is the zero set of the Euclidean simplex projection of
+//! `x + α·g`, which one sort finds (Duchi et al., ICML 2008) — but reading
+//! it off the sort is not bit-identical to the passes at near-ties. So the
+//! clamp instead *replays* the passes' pin sequence from the sort, in
+//! `O(n log n)`, and certifies each replayed pin against a derived rounding
+//! bound `B`; a pin it cannot certify, and the final deltas, run one real
+//! pass. The result is the pass loop's to the bit (see `PinReplay` in the
+//! source for the derivation of `B`). Weighted steps run the pass loop.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -76,11 +90,21 @@ impl StepOutcome {
 /// Reusable buffers for [`compute_step_into`]: the hot-loop variant of
 /// [`compute_step`] that allocates nothing once the workspace has been
 /// warmed to the problem dimension.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two workspaces compare equal when their last steps do (deltas, active
+/// set and scale); the clamp's scratch buffers are not compared.
+#[derive(Debug, Clone, Default)]
 pub struct StepWorkspace {
     deltas: Vec<f64>,
     active: Vec<bool>,
     scale: f64,
+    clamp: ClampScratch,
+}
+
+impl PartialEq for StepWorkspace {
+    fn eq(&self, other: &Self) -> bool {
+        self.deltas == other.deltas && self.active == other.active && self.scale == other.scale
+    }
 }
 
 impl StepWorkspace {
@@ -117,13 +141,18 @@ impl StepWorkspace {
     }
 
     /// Resizes the buffers for `n` agents: all deltas zero, all agents
-    /// active, scale 1. Allocation-free once capacity covers `n`.
-    fn reset(&mut self, n: usize) {
+    /// active, scale 1; under [`BoundaryRule::ClampToZero`] the clamp's
+    /// scratch is sized for `n` too, before any step needs it.
+    /// Allocation-free once capacity covers `n`.
+    fn reset(&mut self, n: usize, rule: BoundaryRule) {
         self.deltas.clear();
         self.deltas.resize(n, 0.0);
         self.active.clear();
         self.active.resize(n, true);
         self.scale = 1.0;
+        if rule == BoundaryRule::ClampToZero {
+            self.clamp.reset(n);
+        }
     }
 }
 
@@ -228,8 +257,8 @@ pub fn compute_step_into(
         "weights must be positive and finite"
     );
 
-    workspace.reset(n);
-    let StepWorkspace { deltas, active, scale } = workspace;
+    workspace.reset(n, rule);
+    let StepWorkspace { deltas, active, scale, clamp } = workspace;
     match rule {
         BoundaryRule::Unconstrained => {
             raw_deltas_into(marginals, weights, active, alpha, deltas);
@@ -254,16 +283,25 @@ pub fn compute_step_into(
             freeze_active_set_into(x, marginals, weights, alpha, deltas, active);
         }
         BoundaryRule::ClampToZero => {
-            clamp_to_zero_into(x, marginals, weights, alpha, deltas, active);
+            clamp_to_zero_into(x, marginals, weights, alpha, deltas, active, clamp);
         }
     }
 }
 
 /// Violators are pinned exactly to zero (`Δx_v = −x_v`), releasing their
 /// mass; the free agents share the released mass equally on top of their
-/// zero-sum raw step. Pinning can cascade; each pass pins at least one more
-/// agent, so the loop terminates. `active` enters all-true and tracks the
+/// zero-sum raw step. Pinning cascades: each [`clamp_pass`] pins the free
+/// violator with the lowest marginal (ties to the lower index), and the step
+/// is final once a pass finds none. `active` enters all-true and tracks the
 /// not-yet-pinned set.
+///
+/// Run literally, that is one `O(n)` pass per pinned agent. With unit weights
+/// (every first-order step) and finite inputs, the pin sequence is instead
+/// *replayed* from the agents sorted by `k_i = x_i + α·g_i` (see
+/// [`PinReplay`]), and only the stages the replay cannot certify — plus the
+/// final deltas — run a real pass. The replay pins exactly the agents the
+/// passes would, in the same order, so the result is bit-for-bit the pass
+/// loop's. Weighted (§8.2 second-order) steps run the pass loop.
 fn clamp_to_zero_into(
     x: &[f64],
     marginals: &[f64],
@@ -271,31 +309,298 @@ fn clamp_to_zero_into(
     alpha: f64,
     deltas: &mut [f64],
     active: &mut [bool],
+    scratch: &mut ClampScratch,
 ) {
-    let n = x.len();
+    // Most steps pin nothing: the first pass is the whole step.
+    let Some(first) = clamp_pass(x, marginals, weights, alpha, deltas, active) else {
+        return;
+    };
+    let mut replay = if weights.iter().all(|&w| w == 1.0) {
+        PinReplay::start(x, marginals, alpha, first, &mut scratch.order, &mut scratch.heap)
+    } else {
+        None
+    };
+    let replayed = replay.is_some();
     loop {
-        let free_count = active.iter().filter(|a| **a).count();
-        if free_count == 0 {
-            deltas.fill(0.0);
-            return;
+        let certified = replay.as_mut().and_then(|r| r.certified_pin(active));
+        let pinned = match certified {
+            Some(v) => {
+                active[v] = false;
+                v
+            }
+            None => match clamp_pass(x, marginals, weights, alpha, deltas, active) {
+                Some(v) => v,
+                None => break,
+            },
+        };
+        if let Some(r) = replay.as_mut() {
+            r.record_pin(pinned);
         }
-        raw_deltas_into(marginals, weights, active, alpha, deltas);
-        let released: f64 = (0..n).filter(|&i| !active[i]).map(|i| x[i]).sum();
-        let share = released / free_count as f64;
-        for i in 0..n {
+    }
+    // Debug builds hold every replayed step to the pass loop, bit for bit.
+    if cfg!(debug_assertions) && replayed {
+        let (check_deltas, check_active) = &mut scratch.check;
+        check_deltas.clear();
+        check_deltas.resize(x.len(), 0.0);
+        check_active.clear();
+        check_active.resize(x.len(), true);
+        clamp_by_passes(x, marginals, weights, alpha, check_deltas, check_active);
+        assert!(
+            check_active == active
+                && check_deltas.iter().zip(&*deltas).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "clamp replay diverged from the pass loop"
+        );
+    }
+}
+
+/// The clamp as the plain pass loop: one [`clamp_pass`] per pinned agent.
+fn clamp_by_passes(
+    x: &[f64],
+    marginals: &[f64],
+    weights: &[f64],
+    alpha: f64,
+    deltas: &mut [f64],
+    active: &mut [bool],
+) {
+    while clamp_pass(x, marginals, weights, alpha, deltas, active).is_some() {}
+}
+
+/// One pass of the clamp loop over the current free set: writes the step
+/// (raw deltas plus an equal share of the pinned agents' released mass;
+/// `−x_v` for every pinned `v`) into `deltas`, then pins and returns the
+/// free violator (`x_i + Δx_i < 0`) with the lowest marginal, ties to the
+/// lower index. `None` means `deltas` is the final step.
+fn clamp_pass(
+    x: &[f64],
+    marginals: &[f64],
+    weights: &[f64],
+    alpha: f64,
+    deltas: &mut [f64],
+    active: &mut [bool],
+) -> Option<usize> {
+    let n = x.len();
+    let free_count = active.iter().filter(|a| **a).count();
+    if free_count == 0 {
+        deltas.fill(0.0);
+        return None;
+    }
+    raw_deltas_into(marginals, weights, active, alpha, deltas);
+    let released: f64 = (0..n).filter(|&i| !active[i]).map(|i| x[i]).sum();
+    let share = released / free_count as f64;
+    for i in 0..n {
+        if active[i] {
+            deltas[i] += share;
+        } else {
+            deltas[i] = -x[i];
+        }
+    }
+    let violator = (0..n)
+        .filter(|&i| active[i] && x[i] + deltas[i] < 0.0)
+        .min_by(|&a, &b| marginals[a].total_cmp(&marginals[b]));
+    if let Some(v) = violator {
+        active[v] = false;
+    }
+    violator
+}
+
+/// Scratch of the unit-weight clamp replay, sized with the workspace so
+/// steady-state steps allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct ClampScratch {
+    /// `(k_i, i)` for every agent, sorted by `k_i = x_i + α·g_i`.
+    order: Vec<(f64, usize)>,
+    /// Certain violators, as a min-heap on `(g_i, i)` in `total_cmp` order.
+    heap: BinaryHeap<Reverse<(i64, usize)>>,
+    /// Debug builds only: the pass loop's deltas and active set.
+    check: (Vec<f64>, Vec<bool>),
+}
+
+impl ClampScratch {
+    /// Empties the buffers and sizes them for `n` agents.
+    fn reset(&mut self, n: usize) {
+        self.order.clear();
+        self.order.reserve(n);
+        self.heap.clear();
+        self.heap.reserve(n);
+        if cfg!(debug_assertions) {
+            self.check.0.clear();
+            self.check.0.reserve(n);
+            self.check.1.clear();
+            self.check.1.reserve(n);
+        }
+    }
+}
+
+/// A key whose integer order is `f64::total_cmp`'s order (the same bit
+/// transform `total_cmp` applies).
+fn total_order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Replays the clamp loop's pin sequence for unit weights.
+///
+/// With `w ≡ 1` a pass over free set `A` (`m = |A|`, pinned set `P`) tests,
+/// for each free `i`,
+///
+/// ```text
+/// x_i + α(g_i − avg) + share < 0,   avg = Σ_A g / m,   share = Σ_P x / m
+/// ⇔   k_i < τ,                       k_i = x_i + α g_i,  τ = α·avg − share
+/// ```
+///
+/// in exact arithmetic, and pins the violator with the least `(g_i, i)`.
+/// Each pin raises `τ` (to `τ + (τ − k_v)/(m − 1)`), so violators only
+/// accumulate. The replay keeps `Σ_A g` and `Σ_P x` as running sums, reads
+/// `τ` off them, walks the agents in `k` order, and moves every free agent
+/// with `k < τ − B` into a min-`(g, i)` heap of *certain* violators. It pins
+/// the heap's top `h` without a pass when `h` is still certain and its
+/// `(g, i)` is below that of every free agent in the uncertain window
+/// `[τ − B, τ + B]`: every agent the pass could call a violator is then in
+/// the heap or the window, so `h` is exactly the pass's choice.
+///
+/// **The bound `B`.** The pass decides on floats: its `avg` and `share` come
+/// from index-order sums, and `fl(x_i + fl(fl(α·fl(g_i − avg)) + share))` is
+/// what it compares with zero; the replay compares `k̂_i = fl(x_i + fl(α g_i))`
+/// with `τ̂ = fl(fl(α·fl(Ŝ_g/m)) − fl(Ŝ_x/m))` from its running sums. With
+/// `u = 2⁻⁵³`, `γ_j = j·u/(1 − j·u)`, `G = max|g|`, `ΣG = Σ|g|`, `X = Σ|x|`
+/// and `n` agents (so `m ≤ n`), the standard recursive-summation bound
+/// `γ_{j−1}·Σ|terms|` gives
+///
+/// * the pass's `avg` within `γ_{n+1}·G` of `Σ_A g/m`, its `share` within
+///   `γ_{n+1}·X/m` of `Σ_P x/m`;
+/// * the running sum `Ŝ_g` (all of `g`, then one subtraction per pin: at
+///   most `2n` terms of total magnitude `2·ΣG`) within `γ_{2n}·2ΣG`, so its
+///   `avg` within `γ_{2n}·2ΣG/m + u·G`; its `share` within `γ_{n+1}·X/m`;
+/// * forming `τ̂`: `2u·(αG + X)`; forming `k̂_i`: `2u·αG + u·X`; the pass's
+///   own step arithmetic: `γ_3·2αG + u·X`.
+///
+/// Summed, the pass's tested value differs from `k̂_i − τ̂` by at most
+/// `u·[(n + 10)·αG + 3X + 4n·αΣG/m + (2n + 2)·X/m]·(1 + 10⁻²)` for any
+/// `n < 2⁴⁶`. The replay uses
+///
+/// ```text
+/// B(m) = 2u·[ (n + 12)·(αG + X) + (4n + 2)·(αΣG + X)/m ] + f64::MIN_POSITIVE
+/// ```
+///
+/// whose factor 2 also covers the rounding of `B`, `τ̂ ± B` and the running
+/// sums' own inputs, and whose `MIN_POSITIVE` covers the absolute error of a
+/// product or quotient that underflows. `B` only widens the window: a wider
+/// window costs passes, never bits.
+struct PinReplay<'a> {
+    x: &'a [f64],
+    marginals: &'a [f64],
+    alpha: f64,
+    order: &'a [(f64, usize)],
+    heap: &'a mut BinaryHeap<Reverse<(i64, usize)>>,
+    /// Running `Σ_A g` over the free set.
+    free_marginals: f64,
+    /// Running `Σ_P x` over the pinned set.
+    released: f64,
+    free: usize,
+    /// Next position of `order` not yet moved into the heap.
+    next: usize,
+    /// `B(m) = bound_fixed + bound_per_free / m`.
+    bound_fixed: f64,
+    bound_per_free: f64,
+}
+
+impl<'a> PinReplay<'a> {
+    /// Sorts the agents after the first pass pinned `first`; `None` when an
+    /// input or the bound is not finite (the pass loop then runs alone).
+    fn start(
+        x: &'a [f64],
+        marginals: &'a [f64],
+        alpha: f64,
+        first: usize,
+        order: &'a mut Vec<(f64, usize)>,
+        heap: &'a mut BinaryHeap<Reverse<(i64, usize)>>,
+    ) -> Option<Self> {
+        let n = x.len();
+        order.clear();
+        heap.clear();
+        let (mut g_max, mut g_abs, mut x_abs, mut g_sum) = (0.0f64, 0.0, 0.0, 0.0);
+        for (i, (&xi, &gi)) in x.iter().zip(marginals).enumerate() {
+            // A finite key implies a finite x_i and g_i.
+            let k = xi + alpha * gi;
+            if !k.is_finite() {
+                return None;
+            }
+            order.push((k, i));
+            g_max = g_max.max(gi.abs());
+            g_abs += gi.abs();
+            x_abs += xi.abs();
+            g_sum += gi;
+        }
+        let u = f64::EPSILON / 2.0;
+        let nf = n as f64;
+        let bound_fixed = 2.0 * u * (nf + 12.0) * (alpha * g_max + x_abs) + f64::MIN_POSITIVE;
+        let bound_per_free = 2.0 * u * (4.0 * nf + 2.0) * (alpha * g_abs + x_abs);
+        if !(bound_fixed.is_finite() && bound_per_free.is_finite()) {
+            return None;
+        }
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        Some(PinReplay {
+            x,
+            marginals,
+            alpha,
+            order,
+            heap,
+            free_marginals: g_sum - marginals[first],
+            released: x[first],
+            free: n - 1,
+            next: 0,
+            bound_fixed,
+            bound_per_free,
+        })
+    }
+
+    /// The agent the next pass would pin, when the replay can certify it.
+    fn certified_pin(&mut self, active: &[bool]) -> Option<usize> {
+        if self.free == 0 {
+            return None;
+        }
+        let m = self.free as f64;
+        let tau = self.alpha * (self.free_marginals / m) - self.released / m;
+        let bound = self.bound_fixed + self.bound_per_free / m;
+        let (lo, hi) = (tau - bound, tau + bound);
+        while let Some(&(k, i)) = self.order.get(self.next) {
+            if k >= lo {
+                break;
+            }
             if active[i] {
-                deltas[i] += share;
-            } else {
-                deltas[i] = -x[i];
+                self.heap.push(Reverse((total_order_key(self.marginals[i]), i)));
+            }
+            self.next += 1;
+        }
+        while let Some(&Reverse((_, top))) = self.heap.peek() {
+            if active[top] {
+                break;
+            }
+            self.heap.pop();
+        }
+        let &Reverse(top) = self.heap.peek()?;
+        let v = top.1;
+        if self.x[v] + self.alpha * self.marginals[v] >= lo {
+            return None;
+        }
+        for &(k, i) in &self.order[self.next..] {
+            if k > hi {
+                break;
+            }
+            if active[i] && (total_order_key(self.marginals[i]), i) < top {
+                return None;
             }
         }
-        let violator = (0..n)
-            .filter(|&i| active[i] && x[i] + deltas[i] < 0.0)
-            .min_by(|&a, &b| marginals[a].total_cmp(&marginals[b]));
-        match violator {
-            Some(v) => active[v] = false,
-            None => return,
-        }
+        self.heap.pop();
+        Some(v)
+    }
+
+    /// Moves a newly pinned agent (by the replay or by a pass) from the free
+    /// sums to the released mass.
+    fn record_pin(&mut self, v: usize) {
+        self.free_marginals -= self.marginals[v];
+        self.released += self.x[v];
+        self.free -= 1;
     }
 }
 
@@ -637,5 +942,126 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The pass loop's unit-weight clamp step: the reference the replay must
+    /// reproduce bit for bit.
+    fn clamp_reference(x: &[f64], g: &[f64], alpha: f64) -> (Vec<u64>, Vec<bool>) {
+        let n = x.len();
+        let (mut deltas, mut active) = (vec![0.0; n], vec![true; n]);
+        clamp_by_passes(x, g, &vec![1.0; n], alpha, &mut deltas, &mut active);
+        (deltas.iter().map(|d| d.to_bits()).collect(), active)
+    }
+
+    /// Runs the clamp through `compute_step_into` (the replay, for unit
+    /// weights) and fails unless deltas and active set equal the pass
+    /// loop's bit for bit. Returns the number of pinned agents.
+    fn replay_matches_passes(
+        x: &[f64],
+        g: &[f64],
+        alpha: f64,
+        ws: &mut StepWorkspace,
+    ) -> Result<usize, TestCaseError> {
+        compute_step_into(x, g, &vec![1.0; x.len()], alpha, BoundaryRule::ClampToZero, ws);
+        let (deltas, active) = clamp_reference(x, g, alpha);
+        let replayed: Vec<u64> = ws.deltas().iter().map(|d| d.to_bits()).collect();
+        prop_assert_eq!(ws.active(), &active[..]);
+        prop_assert_eq!(replayed, deltas);
+        Ok(x.len() - ws.active_count())
+    }
+
+    /// One clamp input of `n` agents. Shapes: 0 continuous; 1 ties in `k`
+    /// and in `g` (few levels, signed zeros); 2 mostly-zero allocations;
+    /// 3 a converged boundary (the support shares one marginal to within
+    /// rounding, the zero agents sit below it, some by a hair); 4 shape 0
+    /// with marginals scaled by `10^e`, `e ∈ [−320, 300)` (subnormal
+    /// products and huge magnitudes).
+    fn clamp_case(n: usize, seed: u64, shape: u8) -> (Vec<f64>, Vec<f64>, f64) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let alpha = 10f64.powf(rng.random_range(-3.0..1.0));
+        let levels = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0];
+        let c = rng.random_range(-2.0..2.0);
+        let (mut x, mut g) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let (xi, gi) = match shape {
+                0 | 4 => (rng.random_f64(), rng.random_range(-5.0..5.0)),
+                1 => (rng.random_range(0..4u8) as f64, levels[rng.random_range(0..levels.len())]),
+                2 if rng.random_bool(0.8) => (0.0, rng.random_range(-5.0..5.0)),
+                2 => (rng.random_f64(), rng.random_range(-5.0..5.0)),
+                _ if rng.random_bool(0.4) => (rng.random_f64(), c + (rng.random_f64() - 0.5) * 1e-12),
+                _ if rng.random_bool(0.5) => (0.0, c - rng.random_f64() * 1e-13),
+                _ => (0.0, c - rng.random_f64()),
+            };
+            x.push(xi);
+            g.push(gi);
+        }
+        let total: f64 = x.iter().sum();
+        if total > 0.0 {
+            x.iter_mut().for_each(|v| *v /= total);
+        }
+        if shape == 4 {
+            let scale = 10f64.powi(rng.random_range(-320..300i32));
+            g.iter_mut().for_each(|v| *v *= scale);
+        }
+        (x, g, alpha)
+    }
+
+    proptest! {
+        /// The certified replay pins exactly what the pass loop pins and
+        /// returns its deltas bit for bit, through one reused workspace.
+        #[test]
+        fn clamp_replay_is_bit_identical_to_the_pass_loop(
+            n in 1usize..600,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..5,
+        ) {
+            let mut ws = StepWorkspace::new();
+            let (x, g, alpha) = clamp_case(n, seed, shape);
+            replay_matches_passes(&x, &g, alpha, &mut ws)?;
+            // Again at a step large enough to pin most agents.
+            replay_matches_passes(&x, &g, alpha * 100.0, &mut ws)?;
+        }
+    }
+
+    #[test]
+    fn clamp_replay_matches_the_pass_loop_along_a_converging_solve() {
+        // U(x) = Σ b_i x_i − a_i x_i²/2 with most b_i low: the optimum sits
+        // on the boundary for most agents, and every step near it pins a
+        // cascade of near-tied zero agents.
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let n = 300;
+        let mut rng = StdRng::seed_from_u64(7);
+        let a: Vec<f64> = (0..n).map(|_| rng.random_range(0.5..2.0)).collect();
+        let b: Vec<f64> = (0..n)
+            .map(|i| if i % 5 == 0 { rng.random_range(1.0..2.0) } else { rng.random_range(0.0..1.0) })
+            .collect();
+        let mut x = vec![1.0 / n as f64; n];
+        let mut g = vec![0.0; n];
+        let mut ws = StepWorkspace::new();
+        let mut pinned = 0;
+        for _ in 0..400 {
+            for i in 0..n {
+                g[i] = b[i] - a[i] * x[i];
+            }
+            pinned += replay_matches_passes(&x, &g, 0.05, &mut ws).unwrap();
+            for (xi, d) in x.iter_mut().zip(ws.deltas()) {
+                *xi += d;
+            }
+        }
+        assert!(pinned > 100 * 400, "the solve must pin cascades, pinned {pinned}");
+    }
+
+    #[test]
+    fn weighted_clamp_runs_the_pass_loop() {
+        let x = [0.8, 0.1, 0.1, 0.0];
+        let g = [-4.0, -1.7, -1.7, -1.6];
+        let w = [1.0, 2.0, 0.5, 1.5];
+        let out = compute_step(&x, &g, &w, 0.67, BoundaryRule::ClampToZero);
+        let (mut deltas, mut active) = (vec![0.0; 4], vec![true; 4]);
+        clamp_by_passes(&x, &g, &w, 0.67, &mut deltas, &mut active);
+        assert_eq!((out.deltas, out.active), (deltas, active));
     }
 }

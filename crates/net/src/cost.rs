@@ -113,25 +113,21 @@ impl CostMatrix {
     /// i.e. the workload-weighted average cost, over all requesting nodes
     /// `j`, of reaching node `i`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pattern's node count differs from the matrix dimension.
-    pub fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Vec<f64> {
+    /// Returns [`NetError::InvalidWorkload`] if the pattern's node count
+    /// differs from the matrix dimension.
+    pub fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Result<Vec<f64>, NetError> {
         let n = self.node_count();
-        assert_eq!(
-            pattern.node_count(),
-            n,
-            "workload covers {} nodes but cost matrix covers {n}",
-            pattern.node_count(),
-        );
+        pattern.check_node_count(n)?;
         let total = pattern.total_rate();
-        (0..n)
+        Ok((0..n)
             .map(|i| {
                 (0..n)
                     .map(|j| pattern.rate(NodeId::new(j)) / total * self.cost(NodeId::new(j), NodeId::new(i)))
                     .sum()
             })
-            .collect()
+            .collect())
     }
 
     /// Scales every entry by `factor`, returning a new matrix.
@@ -187,7 +183,7 @@ mod tests {
         let g = topology::ring(4, 1.0).unwrap();
         let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let w = AccessPattern::uniform(4, 1.0).unwrap();
-        let c = m.systemwide_access_costs(&w);
+        let c = m.systemwide_access_costs(&w).unwrap();
         for ci in &c {
             assert!((ci - 1.0).abs() < 1e-12, "C_i = {ci}");
         }
@@ -198,8 +194,20 @@ mod tests {
         // Two nodes, cost 2 apart. All traffic from node 0.
         let m = CostMatrix::from_rows(vec![vec![0.0, 2.0], vec![2.0, 0.0]]).unwrap();
         let w = AccessPattern::new(vec![1.0, 0.0]).unwrap();
-        let c = m.systemwide_access_costs(&w);
+        let c = m.systemwide_access_costs(&w).unwrap();
         assert_eq!(c, vec![0.0, 2.0]); // accessing node 1 always costs 2
+    }
+
+    #[test]
+    fn mismatched_workload_is_a_typed_error() {
+        let m = topology::ring(4, 1.0)
+            .unwrap()
+            .shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)
+            .unwrap();
+        let short = AccessPattern::new(vec![0.25, 0.25]).unwrap();
+        let err = m.systemwide_access_costs(&short).unwrap_err();
+        assert!(matches!(err, NetError::InvalidWorkload(_)), "{err}");
+        assert!(err.to_string().contains("covers 2 nodes"), "{err}");
     }
 
     #[test]
@@ -208,7 +216,7 @@ mod tests {
         let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // Nearly all traffic generated at leaf node 1.
         let w = AccessPattern::new(vec![0.01, 10.0, 0.01, 0.01, 0.01]).unwrap();
-        let c = m.systemwide_access_costs(&w);
+        let c = m.systemwide_access_costs(&w).unwrap();
         let min = c.iter().copied().fold(f64::INFINITY, f64::min);
         assert!((c[1] - min).abs() < 1e-12, "hot node should be cheapest: {c:?}");
     }

@@ -710,14 +710,8 @@ impl CostProvider for LandmarkOracle {
     /// self-term `j = i` contributes `2·λ_i·d(i,L_a)/λ` instead of zero —
     /// both additive distortions that the optimality-gap harness measures
     /// end to end.
-    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Vec<f64> {
-        assert_eq!(
-            pattern.node_count(),
-            self.n,
-            "workload covers {} nodes but cost provider covers {}",
-            pattern.node_count(),
-            self.n,
-        );
+    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Result<Vec<f64>, NetError> {
+        pattern.check_node_count(self.n)?;
         let lambda = pattern.total_rate();
         let k = self.landmarks.len();
         let mut cluster_moment = vec![0.0f64; k]; // S_b
@@ -737,7 +731,7 @@ impl CostProvider for LandmarkOracle {
             }
             *slot = acc / lambda;
         }
-        (0..self.n).map(|i| hub[self.home[i] as usize] + self.home_dist[i]).collect()
+        Ok((0..self.n).map(|i| hub[self.home[i] as usize] + self.home_dist[i]).collect())
     }
 }
 
@@ -983,15 +977,23 @@ mod tests {
         let g = topology::random_connected(24, 0.3, 1.0..4.0, 8).unwrap();
         let oracle = LandmarkOracle::build(&g, 4, 3).unwrap();
         let w = AccessPattern::random(24, 0.5..2.0, 6).unwrap();
-        let est = CostProvider::systemwide_access_costs(&oracle, &w);
+        let est = CostProvider::systemwide_access_costs(&oracle, &w).unwrap();
         assert_eq!(est.len(), 24);
         assert!(est.iter().all(|c| c.is_finite() && *c >= 0.0));
         // Doubling every rate leaves the weighted average unchanged.
         let w2 = w.scaled(2.0).unwrap();
-        let est2 = CostProvider::systemwide_access_costs(&oracle, &w2);
+        let est2 = CostProvider::systemwide_access_costs(&oracle, &w2).unwrap();
         for (a, b) in est.iter().zip(&est2) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn hub_estimator_rejects_a_mismatched_workload() {
+        let oracle = LandmarkOracle::build(&topology::ring(8, 1.0).unwrap(), 2, 1).unwrap();
+        let short = AccessPattern::uniform(4, 1.0).unwrap();
+        let err = CostProvider::systemwide_access_costs(&oracle, &short).unwrap_err();
+        assert!(matches!(err, NetError::InvalidWorkload(_)), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! let graph = topology::ring(4, 1.0)?;
 //! let costs = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder)?;
 //! let pattern = AccessPattern::uniform(4, 1.0)?;
-//! let c = costs.systemwide_access_costs(&pattern);
+//! let c = costs.systemwide_access_costs(&pattern)?;
 //! // Symmetric ring: every node is equally cheap to access.
 //! assert!(c.iter().all(|&ci| (ci - c[0]).abs() < 1e-12));
 //! # Ok::<(), fap_net::NetError>(())

@@ -11,6 +11,7 @@
 //! is the sparse O(K·N) one.
 
 use crate::cost::CostMatrix;
+use crate::error::NetError;
 use crate::graph::NodeId;
 use crate::workload::AccessPattern;
 
@@ -66,21 +67,17 @@ pub trait CostProvider: Send + Sync {
     ///
     /// [`cost`]: CostProvider::cost
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pattern's node count differs from [`node_count`].
+    /// Returns [`NetError::InvalidWorkload`] if the pattern's node count
+    /// differs from [`node_count`].
     ///
     /// [`node_count`]: CostProvider::node_count
-    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Vec<f64> {
+    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Result<Vec<f64>, NetError> {
         let n = self.node_count();
-        assert_eq!(
-            pattern.node_count(),
-            n,
-            "workload covers {} nodes but cost provider covers {n}",
-            pattern.node_count(),
-        );
+        pattern.check_node_count(n)?;
         let total = pattern.total_rate();
-        (0..n)
+        Ok((0..n)
             .map(|i| {
                 (0..n)
                     .map(|j| {
@@ -89,7 +86,7 @@ pub trait CostProvider: Send + Sync {
                     })
                     .sum()
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -112,7 +109,7 @@ impl CostProvider for CostMatrix {
         n * n * std::mem::size_of::<f64>()
     }
 
-    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Vec<f64> {
+    fn systemwide_access_costs(&self, pattern: &AccessPattern) -> Result<Vec<f64>, NetError> {
         CostMatrix::systemwide_access_costs(self, pattern)
     }
 }
@@ -145,8 +142,8 @@ mod tests {
         let g = topology::random_connected(17, 0.35, 1.0..5.0, 42).unwrap();
         let m = g.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         let w = AccessPattern::random(17, 0.2..3.0, 7).unwrap();
-        let dense = CostMatrix::systemwide_access_costs(&m, &w);
-        let via_default = PointwiseMirror(&m).systemwide_access_costs(&w);
+        let dense = CostMatrix::systemwide_access_costs(&m, &w).unwrap();
+        let via_default = PointwiseMirror(&m).systemwide_access_costs(&w).unwrap();
         assert_eq!(dense.len(), via_default.len());
         for (a, b) in dense.iter().zip(&via_default) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -143,6 +143,18 @@ impl AccessPattern {
         self.lambdas.len()
     }
 
+    /// Rejects a pattern that does not cover exactly `nodes` nodes.
+    pub(crate) fn check_node_count(&self, nodes: usize) -> Result<(), NetError> {
+        if self.node_count() == nodes {
+            Ok(())
+        } else {
+            Err(NetError::InvalidWorkload(format!(
+                "workload covers {} nodes but the cost substrate covers {nodes}",
+                self.node_count()
+            )))
+        }
+    }
+
     /// The access rate `λ_i` of `node`.
     ///
     /// # Panics

@@ -463,7 +463,7 @@ impl<P: BatchParser> Daemon<P> {
                 emit_span_start(recorder, "served.request", root, at as u64);
                 emit_span(recorder, "served.shed", root.child(first + 1), at as u64, at as u64);
                 emit_span_end(recorder, "served.request", root, at as u64, 0);
-                let line = render(&[
+                let line = render([
                     ("id", Value::UInt(id)),
                     ("kind", Value::Str("shed".into())),
                     ("status", Value::Int(429)),
@@ -631,7 +631,7 @@ impl<P: BatchParser> Daemon<P> {
                     started as u64,
                     completed as u64,
                 );
-                let line = render(&[
+                let line = render([
                     ("id", Value::UInt(id)),
                     ("kind", Value::Str("work".into())),
                     ("arrived", uint(arrived)),
@@ -673,7 +673,7 @@ impl<P: BatchParser> Daemon<P> {
                         )]),
                     })
                     .collect();
-                let line = render(&[
+                let line = render([
                     ("id", Value::UInt(id)),
                     ("kind", Value::Str("batch".into())),
                     ("arrived", uint(arrived)),
@@ -727,7 +727,7 @@ impl<P: BatchParser> Daemon<P> {
             Some(w) => finite_or_inf(w),
             None => Value::Null,
         };
-        render(&[
+        render([
             ("kind", Value::Str("status".into())),
             ("now", uint(self.now())),
             ("busy", Value::UInt(u64::from(self.busy))),
@@ -758,7 +758,7 @@ impl<P: BatchParser> Daemon<P> {
             .layer_self_times()
             .map(|(layer, ticks)| (layer.to_string(), Value::UInt(ticks)))
             .collect();
-        render(&[
+        render([
             ("kind", Value::Str("metrics".into())),
             ("now", uint(self.now())),
             ("completed", Value::UInt(self.completed)),
@@ -786,7 +786,7 @@ impl<P: BatchParser> Daemon<P> {
             fields.push(("id", Value::UInt(id)));
         }
         fields.push(("message", Value::Str(message.into())));
-        let line = render(&fields);
+        let line = render(fields);
         writeln!(out, "{line}")?;
         Ok(DaemonStatus::Continue)
     }
@@ -815,11 +815,10 @@ fn as_tick(value: &Value) -> Option<usize> {
     }
 }
 
-/// Renders an insertion-ordered field list as one JSON object line.
-fn render(fields: &[(&str, Value)]) -> String {
-    let map = Value::Map(
-        fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-    );
+/// Renders an insertion-ordered field list as one JSON object line. The
+/// fields move into the printed tree, so a large response is never copied.
+fn render<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> String {
+    let map = Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
     serde_json::to_string(&map).expect("value trees always serialize")
 }
 

@@ -257,3 +257,27 @@ fn admission_model_prediction_matches_measured_wait() {
         "measured {measured:.2} vs closed form at the true rates {reference:.2}"
     );
 }
+
+/// A single-file request whose `lambdas` is shorter than its topology
+/// (4-node ring, 2 rates) used to end the daemon process: the access-cost
+/// kernel asserted on the length mismatch. The spec layer now rejects it
+/// with one error response, and the daemon keeps answering.
+#[test]
+fn short_lambdas_get_one_error_response_and_the_daemon_keeps_serving() {
+    let input = concat!(
+        r#"{"at":0,"batch":[{"type":"single_file","scenario":{"#,
+        r#""topology":{"type":"ring","n":4,"link_cost":1.0},"#,
+        r#""lambdas":[0.25,0.25],"mus":[1.5],"k":1.0}}]}"#,
+        "\n",
+        r#"{"cmd":"status"}"#,
+        "\n",
+    );
+    let (out, _) = run_session(input, &golden_config());
+    let lines: Vec<&str> = out.lines().collect();
+    let errors = lines.iter().filter(|l| l.contains(r#""kind":"error""#)).count();
+    assert_eq!(errors, 1, "{out}");
+    assert!(lines[0].contains("2 lambdas for 4 nodes"), "{out}");
+    // The status probe's answer, then the end-of-input status.
+    assert!(lines[1..].iter().all(|l| l.contains(r#""kind":"status""#)), "{out}");
+    assert_eq!(lines.len(), 3, "{out}");
+}

@@ -84,8 +84,8 @@ fn substrate_cache_dense_backend_returns_the_exact_matrix() {
             );
         }
     }
-    let est = provider.systemwide_access_costs(&pattern);
-    let exact = matrix.systemwide_access_costs(&pattern);
+    let est = provider.systemwide_access_costs(&pattern).unwrap();
+    let exact = matrix.systemwide_access_costs(&pattern).unwrap();
     for (a, b) in est.iter().zip(&exact) {
         assert_eq!(a.to_bits(), b.to_bits(), "dense backend must estimate nothing");
     }
@@ -118,8 +118,8 @@ fn oracle_with_every_node_a_landmark_matches_dense_access_costs() {
     let (graph, pattern, _) = workload(12, 41);
     let oracle = LandmarkOracle::build(&graph, 12, 5).unwrap();
     let matrix = graph.shortest_path_matrix(Parallelism::Sequential, &mut NoopRecorder).unwrap();
-    let est = oracle.systemwide_access_costs(&pattern);
-    let exact = matrix.systemwide_access_costs(&pattern);
+    let est = oracle.systemwide_access_costs(&pattern).unwrap();
+    let exact = matrix.systemwide_access_costs(&pattern).unwrap();
     for (i, (a, b)) in est.iter().zip(&exact).enumerate() {
         assert!(
             (a - b).abs() <= 1e-9 * b.abs().max(1.0),
