@@ -37,6 +37,8 @@ fn allocation_fold(x: &[f64]) -> u64 {
     x.iter().fold(0, |h, v| h.rotate_left(5) ^ v.to_bits())
 }
 
+/// Also the set-A clamp's regression case: in debug builds every replayed
+/// clamp call of this solve is checked against the pass loop bit for bit.
 #[test]
 fn depth_one_is_bit_identical_to_the_flat_solver_on_the_pinned_mesh() {
     let (_, pattern, mu, oracle) = pipeline();
